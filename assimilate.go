@@ -26,18 +26,13 @@ type (
 	// to successive Assimilate calls to make warm re-runs skip unchanged
 	// stages.
 	PipelineCache = pipeline.MemStore
-	// PipelineStats aggregates stage outcomes (runs vs cache hits) over
-	// one Assimilate call.
+	// PipelineStats aggregates stage outcomes (runs vs cache hits) and
+	// per-stage wall time over one Assimilate call.
 	PipelineStats = pipeline.RunStats
-	// StageTimer accumulates per-stage wall time across runs.
-	StageTimer = telemetry.StageTimer
 )
 
 // NewPipelineCache returns an empty shareable artifact cache.
 func NewPipelineCache() *PipelineCache { return pipeline.NewMemStore() }
-
-// NewStageTimer returns an empty stage timer for Options.Timer.
-func NewStageTimer() *StageTimer { return telemetry.NewStageTimer() }
 
 // PipelineStages lists the engine's stages in execution order.
 func PipelineStages() []PipelineStage { return pipeline.Stages() }
@@ -83,9 +78,6 @@ type Options struct {
 	// LiveFailureBudget is the live stage's transport-failure budget; see
 	// the pipeline Job field of the same name. 0 takes the default.
 	LiveFailureBudget int
-	// Timer, when set, accumulates per-stage wall time of executed
-	// (non-cached) stages.
-	Timer *StageTimer
 	// Report builds the run observatory's per-run manifest: input content
 	// hashes, per-stage outcomes and attempts, cache hit/miss, worker-pool
 	// utilization, metrics delta, and a span summary, with every duration
@@ -116,7 +108,8 @@ type Result struct {
 	// run's error says why.
 	Results []*AssimilationResult
 	// Stats aggregates stage outcomes: Stats.Skips() > 0 means the
-	// artifact cache satisfied stages without re-running them.
+	// artifact cache satisfied stages without re-running them, and
+	// Stats.StageWall holds the wall time of the stages that did run.
 	Stats PipelineStats
 	// Report is the per-run manifest when Options.Report was set.
 	Report *RunReport
@@ -175,7 +168,7 @@ func AssimilateModel(ctx context.Context, m *DeviceModel) (*AssimilationResult, 
 func assimilateModels(ctx context.Context, opts Options, models []*DeviceModel) (*Result, error) {
 	cfg := pipeline.Config{
 		Workers: opts.Workers, StageWorkers: opts.StageWorkers,
-		Store: storeOrNil(opts.Cache), CacheDir: opts.CacheDir, Timer: opts.Timer,
+		Store: storeOrNil(opts.Cache), CacheDir: opts.CacheDir,
 	}
 	var flight *obsreport.FlightRecorder
 	if opts.ProfileStages != "" {

@@ -140,31 +140,32 @@ func TestAssimilateDiskCache(t *testing.T) {
 	}
 }
 
-// TestAssimilateTimerObservesStages: Options.Timer accumulates wall time
-// for executed stages only.
+// TestAssimilateTimerObservesStages: Result.Stats.StageWall times the
+// executed stages only, so a warm re-run over the same cache adds none.
 func TestAssimilateTimerObservesStages(t *testing.T) {
-	timer := nassim.NewStageTimer()
 	cache := nassim.NewPipelineCache()
-	if _, err := nassim.Assimilate(context.Background(), nassim.Options{
-		Vendors: []string{"Cisco"}, Scale: 0.02, Cache: cache, Timer: timer}); err != nil {
+	cold, err := nassim.Assimilate(context.Background(), nassim.Options{
+		Vendors: []string{"Cisco"}, Scale: 0.02, Cache: cache})
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs := timer.Records()
-	if len(recs) == 0 {
-		t.Fatal("timer observed nothing")
+	if len(cold.Stats.StageWall) == 0 {
+		t.Fatal("cold run timed no stage")
 	}
-	counts := make(map[string]int)
-	for _, r := range recs {
-		counts[r.Name] = r.Calls
-	}
-	// Warm re-run: no stage executes, so no new observations.
-	if _, err := nassim.Assimilate(context.Background(), nassim.Options{
-		Vendors: []string{"Cisco"}, Scale: 0.02, Cache: cache, Timer: timer}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range timer.Records() {
-		if r.Calls != counts[r.Name] {
-			t.Errorf("%s observed on a cache hit: %d -> %d", r.Name, counts[r.Name], r.Calls)
+	for st, n := range cold.Stats.StageRuns {
+		if _, ok := cold.Stats.StageWall[st]; !ok {
+			t.Errorf("%s ran %d time(s) but has no wall time", st, n)
 		}
+	}
+	if rows := cold.Stats.StageTimes(); len(rows) != len(cold.Stats.StageRuns) {
+		t.Errorf("stage table has %d rows for %d executed stages", len(rows), len(cold.Stats.StageRuns))
+	}
+	warm, err := nassim.Assimilate(context.Background(), nassim.Options{
+		Vendors: []string{"Cisco"}, Scale: 0.02, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.Stats.StageWall) != 0 {
+		t.Errorf("warm re-run timed cache hits: %v", warm.Stats.StageWall)
 	}
 }

@@ -16,13 +16,13 @@ package nassim_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 	"nassim/internal/cgm"
 	"nassim/internal/clisyntax"
 	"nassim/internal/devmodel"
@@ -251,80 +251,56 @@ func BenchmarkEndToEndAssimilation(b *testing.B) {
 }
 
 func BenchmarkPipelineStages(b *testing.B) {
-	// End-to-end assimilation with per-stage wall time, recorded under the
-	// stage names of telemetry.StageTimer — the same schema cmd/evalbench
-	// exports to BENCH_telemetry.json (nassim-telemetry-bench/v1), so
-	// BENCH_*.json entries stay comparable across PRs.
+	// End-to-end assimilation with per-stage wall time, reported under the
+	// stage names the stage tables and BENCH_*.json stage.* records use.
 	data := setup(b)
 	d := data["Huawei"]
-	st := telemetry.NewStageTimer()
+	wall := map[string]time.Duration{}
+	timed := func(stage string, f func()) {
+		start := time.Now()
+		f()
+		wall[stage] += time.Since(start)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var parsed *nassim.ParseResult
 		var err error
-		st.Time(telemetry.StageParse, func() {
+		timed(telemetry.StageParse, func() {
 			parsed, err = nassim.ParseManual(context.Background(), "Huawei", d.pages)
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		first, firstRep := nassim.BuildVDM(context.Background(), "Huawei", parsed.Corpora, parsed.Hierarchy)
-		st.Observe(telemetry.StageSyntaxCGM, firstRep.CGMBuildTime)
-		st.Observe(telemetry.StageHierarchy, firstRep.DeriveTime)
+		wall[telemetry.StageSyntaxCGM] += firstRep.CGMBuildTime
+		wall[telemetry.StageHierarchy] += firstRep.DeriveTime
 		var v *nassim.VDM
-		st.Time(telemetry.StageCorrect, func() {
+		timed(telemetry.StageCorrect, func() {
 			nassim.ApplyCorrections(parsed.Corpora, nassim.ExpertCorrections(d.model, first.InvalidCLIs))
 			v, _ = nassim.BuildVDM(context.Background(), "Huawei", parsed.Corpora, parsed.Hierarchy)
 		})
-		st.Time(telemetry.StageEmpirical, func() {
+		timed(telemetry.StageEmpirical, func() {
 			nassim.ValidateConfigs(context.Background(), v, d.files)
 		})
 	}
 	b.StopTimer()
-	for _, rec := range st.Records() {
-		b.ReportMetric(float64(rec.AvgNS), rec.Name+"-ns/op")
-	}
-	doc := telemetry.NewBenchDoc("Huawei", benchScale, 9, st)
-	if _, err := doc.MarshalIndent(); err != nil {
-		b.Fatal(err)
+	for stage, total := range wall {
+		b.ReportMetric(float64(total.Nanoseconds()/int64(b.N)), stage+"-ns/op")
 	}
 }
 
-// mapperBench collects ns/op of the mapper hot-path benchmarks and, with
-// NASSIM_MAPPER_BENCH_OUT set (make bench-mapper), exports them as
-// BENCH_mapper.json (schema nassim-mapper-bench/v1) after every
-// benchmark, so the perf trajectory of the vectorized scorer is tracked
-// across PRs like the other BENCH_*.json documents.
-type mapperBenchEntry struct {
-	NsPerOp float64 `json:"ns_per_op"`
-	N       int     `json:"n"`
-}
+// mapperBench exports the mapper hot-path benchmarks as BENCH_mapper.json
+// when NASSIM_BENCH_DIR is set (make bench-mapper), rewriting the
+// document after every benchmark so the perf trajectory of the
+// vectorized scorer is tracked like the other BENCH_*.json documents.
+var mapperBench = benchdiff.NewWriter("mapper")
 
-var (
-	mapperBenchMu      sync.Mutex
-	mapperBenchEntries = map[string]mapperBenchEntry{}
-)
-
-func exportMapperBench(b *testing.B, name string) {
+// exportBench records one Go benchmark's ns/op, plus any figures derived
+// alongside it, into w's document; a nil w (export off) drops them.
+func exportBench(b *testing.B, w *benchdiff.Writer, name string, extra ...benchdiff.Record) {
 	b.Helper()
-	out := os.Getenv("NASSIM_MAPPER_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	mapperBenchMu.Lock()
-	defer mapperBenchMu.Unlock()
-	mapperBenchEntries[name] = mapperBenchEntry{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N), N: b.N}
-	doc := struct {
-		Schema     string                      `json:"schema"`
-		Scale      float64                     `json:"scale"`
-		Benchmarks map[string]mapperBenchEntry `json:"benchmarks"`
-	}{"nassim-mapper-bench/v1", benchScale, mapperBenchEntries}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+	recs := append([]benchdiff.Record{benchdiff.NsPerOp(name, b.Elapsed(), b.N)}, extra...)
+	if err := w.Put(recs...); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -350,7 +326,7 @@ func BenchmarkRecommend(b *testing.B) {
 					b.Fatal("no recommendations")
 				}
 			}
-			exportMapperBench(b, "Recommend/"+string(kind))
+			exportBench(b, mapperBench, "Recommend/"+string(kind))
 		})
 	}
 	// Float-reference rows: the same DL paths with the int8-quantized
@@ -370,7 +346,7 @@ func BenchmarkRecommend(b *testing.B) {
 					b.Fatal("no recommendations")
 				}
 			}
-			exportMapperBench(b, "Recommend/"+string(kind)+"-float")
+			exportBench(b, mapperBench, "Recommend/"+string(kind)+"-float")
 		})
 	}
 }
@@ -400,7 +376,7 @@ func BenchmarkMapAll(b *testing.B) {
 			b.Fatal("short batch")
 		}
 	}
-	exportMapperBench(b, "MapAll")
+	exportBench(b, mapperBench, "MapAll")
 }
 
 // BenchmarkTFIDFRank measures the IR fast path in isolation: one top-50
@@ -422,7 +398,7 @@ func BenchmarkTFIDFRank(b *testing.B) {
 			b.Fatal("empty ranking")
 		}
 	}
-	exportMapperBench(b, "TFIDFRank")
+	exportBench(b, mapperBench, "TFIDFRank")
 }
 
 func BenchmarkWeightGridSearch(b *testing.B) {
@@ -535,17 +511,16 @@ func BenchmarkIntentPush(b *testing.B) {
 }
 
 // BenchmarkAssimilateParallel measures the engine over the four built-in
-// vendors with a 4-worker pool. With NASSIM_BENCH_OUT set it exports BENCH_pipeline.json
-// (schema nassim-pipeline-bench/v1): per-stage wall time plus run/skip
-// aggregates, comparable across PRs like BENCH_telemetry.json.
+// vendors with a 4-worker pool. With NASSIM_BENCH_DIR set it exports
+// BENCH_pipeline.json: the last run's wall time plus per-stage wall time
+// from its Stats, comparable over time like BENCH_telemetry.json.
 func BenchmarkAssimilateParallel(b *testing.B) {
 	const workers = 4
-	timer := nassim.NewStageTimer()
 	var stats nassim.PipelineStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := nassim.Assimilate(context.Background(), nassim.Options{
-			Scale: benchScale, Workers: workers, Validate: true, Timer: timer,
+			Scale: benchScale, Workers: workers, Validate: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -554,24 +529,14 @@ func BenchmarkAssimilateParallel(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(stats.Runs()), "stages/op")
-	out := os.Getenv("NASSIM_BENCH_OUT")
-	if out == "" {
-		return
+	recs := []benchdiff.Record{
+		benchdiff.SingleShot("wall_ns", "ns", float64(stats.Wall.Nanoseconds()), benchdiff.SingleShotFloorNS),
+		benchdiff.Informational("jobs", "count", float64(stats.Jobs)),
 	}
-	doc := struct {
-		Schema  string                  `json:"schema"`
-		Workers int                     `json:"workers"`
-		Scale   float64                 `json:"scale"`
-		Jobs    int                     `json:"jobs"`
-		WallNS  int64                   `json:"wall_ns"`
-		Stages  []telemetry.StageRecord `json:"stages"`
-	}{"nassim-pipeline-bench/v1", workers, benchScale, stats.Jobs,
-		stats.Wall.Nanoseconds(), timer.Records()}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
+	for _, st := range stats.StageTimes() {
+		recs = append(recs, benchdiff.StageRecords(st.Name, st.Calls, st.Total)...)
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+	if err := benchdiff.NewWriter("pipeline").Put(recs...); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -22,8 +22,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
+	"time"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 	"nassim/internal/eval"
 	"nassim/internal/telemetry"
 )
@@ -40,7 +43,7 @@ func main() {
 	curve := flag.Bool("curve", false, "run the E11 continuous-improvement learning curve")
 	stages := flag.Bool("stages", false, "time each pipeline stage and export BENCH_telemetry.json")
 	vendor := flag.String("vendor", "Huawei", "vendor for the -stages pipeline run")
-	telemetryOut := flag.String("telemetry-out", "BENCH_telemetry.json", "stage-timing export path for -stages")
+	telemetryOut := flag.String("telemetry-out", benchdiff.DefaultPath("telemetry"), "stage-timing export path for -stages (default under $"+benchdiff.EnvDir+")")
 	manifestOut := flag.String("manifest-out", "", "also write the -stages assimilation's run manifest (schema "+nassim.RunReportSchema+") to this file")
 	jsonOut := flag.String("json", "", "also export the run's results as JSON to this file")
 	flag.Parse()
@@ -185,18 +188,19 @@ func main() {
 // runStages drives one synthetic assimilation with per-stage wall-clock
 // timing — parse, syntax+CGM, hierarchy derivation (corrections folded
 // in), empirical validation, mapper fine-tune and recommendation,
-// controller intent — prints the timing table and exports the stable
-// BENCH_telemetry.json document (schema nassim-telemetry-bench/v1).
+// controller intent — prints the timing table and exports
+// BENCH_telemetry.json: one stage.* record pair per row plus the Default
+// registry's metrics.
 //
 // The VDM-construction stages run through the pipeline engine, which
 // caches the parse and syntax artifacts and derives the corrected VDM
-// exactly once (the previous hand-sequenced flow rebuilt it twice).
+// exactly once; their rows come from the run's Stats. The three steps
+// after it are timed here.
 func runStages(vendor string, scale float64, seed uint64, out, manifestOut string) error {
 	ctx := context.Background()
-	st := telemetry.NewStageTimer()
 	res, err := nassim.Assimilate(ctx, nassim.Options{
 		Vendors: []string{vendor}, Scale: scale, Validate: true,
-		Seed: seed, Timer: st, Report: manifestOut != "",
+		Seed: seed, Report: manifestOut != "",
 	})
 	if err != nil {
 		return err
@@ -207,6 +211,13 @@ func runStages(vendor string, scale float64, seed uint64, out, manifestOut strin
 		}
 		fmt.Printf("run manifest: %s (%s)\n", manifestOut, res.Report.Summary())
 	}
+	rows := res.Stats.StageTimes()
+	timed := func(stage string, f func() error) error {
+		start := time.Now()
+		err := f()
+		rows = append(rows, telemetry.StageTime{Name: stage, Calls: 1, Total: time.Since(start)})
+		return err
+	}
 	asr := res.Results[0]
 	m, v := asr.Model, asr.VDM
 
@@ -216,24 +227,24 @@ func runStages(vendor string, scale float64, seed uint64, out, manifestOut strin
 		return err
 	}
 	anns := nassim.GroundTruthAnnotations(m, 50, seed)
-	st.Time(telemetry.StageMapFineTune, func() {
-		_, err = mp.FineTune(v, u, anns, 4, 2, seed)
-	})
-	if err != nil {
+	if err := timed(telemetry.StageMapFineTune, func() error {
+		_, err := mp.FineTune(v, u, anns, 4, 2, seed)
+		return err
+	}); err != nil {
 		return err
 	}
 	recN := len(anns)
 	if recN > 10 {
 		recN = 10
 	}
-	st.Time(telemetry.StageMapRecommend, func() {
+	if err := timed(telemetry.StageMapRecommend, func() error {
 		pcs := make([]nassim.ParamContext, recN)
 		for i, ann := range anns[:recN] {
 			pcs[i] = nassim.ExtractContext(v, ann.Param)
 		}
-		_, err = mp.MapAll(ctx, pcs, 10)
-	})
-	if err != nil {
+		_, err := mp.MapAll(ctx, pcs, 10)
+		return err
+	}); err != nil {
 		return err
 	}
 
@@ -247,7 +258,7 @@ func runStages(vendor string, scale float64, seed uint64, out, manifestOut strin
 		nassim.SessionExecutor(dev.NewSession()), dev.ShowConfigCommand()); err != nil {
 		return err
 	}
-	st.Time(telemetry.StageControllerInt, func() {
+	timed(telemetry.StageControllerInt, func() error {
 		ids := make([]string, 0, len(binding))
 		for id := range binding {
 			ids = append(ids, id)
@@ -258,17 +269,36 @@ func runStages(vendor string, scale float64, seed uint64, out, manifestOut strin
 				break
 			}
 		}
+		return nil
 	})
 
-	fmt.Printf("Pipeline stage timing (%s, scale %.2f):\n%s", vendor, scale, st.Table())
-	doc := telemetry.NewBenchDoc(vendor, scale, seed, st)
-	data, err := doc.MarshalIndent()
-	if err != nil {
+	fmt.Printf("Pipeline stage timing (%s, scale %.2f):\n%s", vendor, scale, telemetry.StageTable(rows))
+	var recs []benchdiff.Record
+	for _, r := range rows {
+		recs = append(recs, benchdiff.StageRecords(r.Name, r.Calls, r.Total)...)
+	}
+	metrics := telemetry.Default().FlatSnapshot()
+	for k, v := range metrics {
+		recs = append(recs, metricRecord(k, v))
+	}
+	if err := benchdiff.NewFileWriter(out).Put(recs...); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote stage telemetry to %s (%d metric samples)\n\n", out, len(doc.Metrics))
+	fmt.Printf("wrote stage telemetry to %s (%d metric samples)\n\n", out, len(metrics))
 	return nil
+}
+
+// metricRecord exports one registry sample. The registry names duration
+// histograms by the Prometheus base-unit suffix _seconds; their _sum and
+// _avg entries are one run's timings and gate single-shot. Everything
+// else the run registers counts events or sizes and is informational.
+func metricRecord(key string, v float64) benchdiff.Record {
+	name := key
+	if i := strings.IndexByte(key, '{'); i >= 0 {
+		name = key[:i]
+	}
+	if strings.HasSuffix(name, "_seconds_sum") || strings.HasSuffix(name, "_seconds_avg") {
+		return benchdiff.SingleShot("metric."+key, "s", v, benchdiff.SingleShotFloorSeconds)
+	}
+	return benchdiff.Informational("metric."+key, "count", v)
 }

@@ -1,5 +1,5 @@
-// Command loadgen benchmarks a nassimd serving endpoint and emits a
-// nassim-serve-bench/v1 document (BENCH_serve.json) for the benchdiff
+// Command loadgen benchmarks a nassimd serving endpoint and emits
+// BENCH_serve.json (a nassim-bench/v2 document) for the benchdiff
 // regression gate.
 //
 // Two phases:
@@ -33,43 +33,71 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nassim/internal/benchdiff"
 	"nassim/internal/serve"
 )
 
-// BenchSchema identifies the serving benchmark document.
-const BenchSchema = "nassim-serve-bench/v1"
+// result holds one benchmark run's figures.
+type result struct {
+	Requests   int
+	Errors     int
+	DurationMs float64
+	RPS        float64
 
-// benchDoc is the emitted BENCH_serve.json layout.
-type benchDoc struct {
-	Schema     string  `json:"schema"`
-	Requests   int     `json:"requests"`
-	Errors     int     `json:"errors"`
-	DurationMs float64 `json:"duration_ms"`
-	RPS        float64 `json:"rps"`
-
-	LatencyP50Ms  float64 `json:"latency_p50_ms"`
-	LatencyP99Ms  float64 `json:"latency_p99_ms"`
-	LatencyMeanMs float64 `json:"latency_mean_ms"`
+	LatencyP50Ms  float64
+	LatencyP99Ms  float64
+	LatencyMeanMs float64
 
 	// DedupHitRatio covers the measured warm phase: the fraction of
 	// requests answered without a pipeline execution.
-	DedupHitRatio float64 `json:"dedup_hit_ratio"`
+	DedupHitRatio float64
 
 	Dedup8Way struct {
-		Clients    int     `json:"clients"`
-		Executions int64   `json:"executions"`
-		HitRatio   float64 `json:"hit_ratio"`
-	} `json:"dedup_8way"`
+		Clients    int
+		Executions int64
+		HitRatio   float64
+	}
 
 	Queue struct {
-		MaxDepth int64 `json:"max_depth"`
-		Shed     int64 `json:"shed"`
-	} `json:"queue"`
+		MaxDepth int64
+		Shed     int64
+	}
+}
+
+// records exports the run as BENCH_serve.json records with their gates.
+func (r *result) records() []benchdiff.Record {
+	ms := func(name string, v float64) benchdiff.Record {
+		return benchdiff.SingleShot(name, "ms", v, benchdiff.SingleShotFloorMs)
+	}
+	return []benchdiff.Record{
+		// Serving latency is measured per request but over a short warm
+		// loop on a shared runner, so it gates like a single-shot timing
+		// with a millisecond floor.
+		ms("latency_p50_ms", r.LatencyP50Ms),
+		ms("latency_p99_ms", r.LatencyP99Ms),
+		ms("latency_mean_ms", r.LatencyMeanMs),
+		benchdiff.Higher("rps", "1/s", r.RPS).Gate(benchdiff.SpeedupTolerance, 0),
+		// The dedup economy is the tentpole invariant: the warm phase must
+		// stay near-fully deduplicated and the 8-way fan-in must coalesce
+		// to one execution. These are deterministic, not timing-noisy.
+		benchdiff.Higher("dedup_hit_ratio", "ratio", r.DedupHitRatio),
+		benchdiff.Higher("dedup_8way.hit_ratio", "ratio", r.Dedup8Way.HitRatio),
+		benchdiff.Lower("dedup_8way.executions", "count", float64(r.Dedup8Way.Executions)),
+		// Queue pressure under the bench workload: a depth or shed growth
+		// means admission started backing up. A small absolute floor keeps
+		// the empty-queue baseline from tripping on a 0 -> 1 blip.
+		benchdiff.Lower("queue.max_depth", "count", float64(r.Queue.MaxDepth)).Gate(benchdiff.DefaultTimingTolerance, 8),
+		benchdiff.Lower("queue.shed", "count", float64(r.Queue.Shed)).Gate(benchdiff.DefaultTimingTolerance, 8),
+		benchdiff.Lower("errors", "count", float64(r.Errors)),
+		benchdiff.Informational("requests", "count", float64(r.Requests)),
+		benchdiff.Informational("dedup_8way.clients", "count", float64(r.Dedup8Way.Clients)),
+		benchdiff.Informational("duration_ms", "ms", r.DurationMs),
+	}
 }
 
 func main() {
 	addr := flag.String("addr", "", "nassimd address; empty hosts the daemon in-process")
-	out := flag.String("out", "BENCH_serve.json", "benchmark document output path")
+	out := flag.String("out", benchdiff.DefaultPath("serve"), "benchmark document output path (default under $"+benchdiff.EnvDir+")")
 	manifestOut := flag.String("manifest-out", "", "also save the daemon's /v1/manifest here")
 	vendors := flag.String("vendors", "Huawei,Cisco,Nokia,H3C", "comma-separated vendor cycle for the warm phase")
 	scale := flag.Float64("scale", 0.02, "synthetic corpus scale")
@@ -101,7 +129,7 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 	}
 	defer shutdown()
 
-	doc := benchDoc{Schema: BenchSchema}
+	var doc result
 
 	// Phase 1: dedup fan-in against a cold key.
 	st0, err := stats(base)
@@ -198,11 +226,7 @@ func run(addr, out, manifestOut string, vendors []string, scale float64, request
 	fmt.Printf("loadgen: warm phase: %d requests in %.0f ms (%.0f rps), p50 %.3f ms, p99 %.3f ms, dedup %.3f\n",
 		requests, doc.DurationMs, doc.RPS, doc.LatencyP50Ms, doc.LatencyP99Ms, doc.DedupHitRatio)
 
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+	if err := benchdiff.NewFileWriter(out).Put(doc.records()...); err != nil {
 		return err
 	}
 	fmt.Printf("loadgen: wrote %s\n", out)

@@ -40,6 +40,7 @@ import (
 
 	"nassim"
 	"nassim/internal/corpus"
+	"nassim/internal/telemetry"
 )
 
 func main() {
@@ -598,11 +599,10 @@ func cmdRun(args []string) error {
 	if *traceOut != "" && nassim.TraceSnapshot() == nil {
 		nassim.EnableTracing(4096)
 	}
-	timer := nassim.NewStageTimer()
 	opts := nassim.Options{
 		Vendors: names, Scale: *scale, Workers: *workers,
 		Cache: nassim.NewPipelineCache(), CacheDir: *cacheDir,
-		Validate: *validate, LiveTest: *live || *chaos || chaosProfile.name != "", Seed: *seed, Timer: timer,
+		Validate: *validate, LiveTest: *live || *chaos || chaosProfile.name != "", Seed: *seed,
 		// Profiling runs get a manifest too: its Timing.Derived block carries
 		// the pool utilizations, sharing one code path with BENCH_frontend.json.
 		Report: *report != "" || *profileStages != "", ProfileStages: *profileStages,
@@ -619,6 +619,7 @@ func cmdRun(args []string) error {
 	}
 	var manifest *nassim.RunReport
 	var profiles []string
+	var stats nassim.PipelineStats // summed over rounds
 	for round := 1; round <= *repeat; round++ {
 		start := time.Now()
 		res, err := nassim.Assimilate(ctx, opts)
@@ -629,6 +630,7 @@ func cmdRun(args []string) error {
 			manifest = res.Report // keep the last (warmest) round's manifest
 		}
 		profiles = append(profiles, res.Profiles...)
+		stats.Add(res.Stats)
 		fmt.Printf("round %d (%v): %s\n", round, time.Since(start).Round(time.Millisecond), res.Stats)
 		for _, asr := range res.Results {
 			if asr == nil {
@@ -651,7 +653,7 @@ func cmdRun(args []string) error {
 			fmt.Println(line)
 		}
 	}
-	fmt.Printf("stage timing (executed stages only):\n%s", timer.Table())
+	fmt.Printf("stage timing (executed stages only):\n%s", telemetry.StageTable(stats.StageTimes()))
 	if manifest != nil && len(manifest.Timing.Derived) > 0 {
 		keys := make([]string, 0, len(manifest.Timing.Derived))
 		for k := range manifest.Timing.Derived {

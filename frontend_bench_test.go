@@ -2,9 +2,8 @@ package nassim_test
 
 // Front-end benchmarks (make bench-frontend): manual parsing, template
 // compilation, and empirical config matching — the §3/§4 half of the
-// pipeline this PR parallelized and de-allocated. With
-// NASSIM_FRONTEND_BENCH_OUT set, results are exported as
-// BENCH_frontend.json (schema nassim-frontend-bench/v1) including derived
+// pipeline, parallelized and de-allocated. With NASSIM_BENCH_DIR set,
+// results are exported as BENCH_frontend.json including derived
 // seed-vs-new speedups, comparable across PRs like the other BENCH_*.json
 // documents. The "seed" side pairs the 1-worker parse with the retained
 // naive validator (the pre-optimization code path); on a single-core
@@ -14,102 +13,83 @@ package nassim_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"sync"
 	"testing"
 
 	"nassim"
+	"nassim/internal/benchdiff"
 	"nassim/internal/cgm"
 	"nassim/internal/empirical"
 	"nassim/internal/pipeline"
 	"nassim/internal/telemetry"
 )
 
-type frontendBenchEntry struct {
-	NsPerOp float64 `json:"ns_per_op"`
-	N       int     `json:"n"`
-}
+// frontendBench is BENCH_frontend.json's writer (nil unless
+// NASSIM_BENCH_DIR is set).
+var frontendBench = benchdiff.NewWriter("frontend")
 
-var (
-	frontendBenchMu      sync.Mutex
-	frontendBenchEntries = map[string]frontendBenchEntry{}
-	frontendDerivedExtra = map[string]float64{}
-)
-
-// recordFrontendDerived adds a directly-measured derived figure (e.g. a
-// worker pool's busy-time utilization) to the export document. benchdiff
-// gates derived entries higher-better, except *_ns keys which are
-// timings and gate lower-better.
-func recordFrontendDerived(name string, v float64) {
-	if os.Getenv("NASSIM_FRONTEND_BENCH_OUT") == "" {
-		return
-	}
-	frontendBenchMu.Lock()
-	defer frontendBenchMu.Unlock()
-	frontendDerivedExtra[name] = v
-}
-
-// exportFrontendBench records one benchmark result and rewrites the export
-// document, so partial runs (CI smoke: one iteration of one benchmark)
-// still produce valid JSON.
-func exportFrontendBench(b *testing.B, name string) {
+// exportFrontendBench records one benchmark result plus any figures
+// measured alongside it, then recomputes the seed-vs-new speedups from
+// the ns/op recorded so far. The document is rewritten every time, so
+// partial runs (CI smoke: one iteration of one benchmark) still produce a
+// valid one.
+func exportFrontendBench(b *testing.B, name string, extra ...benchdiff.Record) {
 	b.Helper()
-	out := os.Getenv("NASSIM_FRONTEND_BENCH_OUT")
-	if out == "" {
+	if frontendBench == nil {
 		return
 	}
-	frontendBenchMu.Lock()
-	defer frontendBenchMu.Unlock()
-	frontendBenchEntries[name] = frontendBenchEntry{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N), N: b.N}
-	derived := map[string]float64{}
+	exportBench(b, frontendBench, name, extra...)
 	get := func(name string) (float64, bool) {
-		e, ok := frontendBenchEntries[name]
-		return e.NsPerOp, ok
+		return frontendBench.Value("bench." + name + ".ns_per_op")
+	}
+	var derived []benchdiff.Record
+	// Speedup ratios swing with scheduler load far more than the
+	// utilization and cache-ratio figures do (a fan-out near 1.0x can land
+	// either side of it run to run); they get the wider speedup gate so
+	// only a real collapse fails.
+	speedup := func(key string, v float64) {
+		derived = append(derived, benchdiff.Higher("derived."+key, "x", v).Gate(benchdiff.SpeedupTolerance, 0))
 	}
 	if w1, ok1 := get("ParseAll/workers1"); ok1 {
 		if w8, ok8 := get("ParseAll/workers8"); ok8 && w8 > 0 {
-			derived["parse_speedup_8v1"] = w1 / w8
+			speedup("parse_speedup_8v1", w1/w8)
 		}
 	}
 	if naive, okN := get("ValidateConfigs/naive"); okN {
 		if w8, ok8 := get("ValidateConfigs/workers8"); ok8 && w8 > 0 {
-			derived["validate_speedup_seed_vs_8"] = naive / w8
+			speedup("validate_speedup_seed_vs_8", naive/w8)
 		}
 	}
 	if p1, ok := get("ParseAll/workers1"); ok {
 		if vn, okN := get("ValidateConfigs/naive"); okN {
 			if p8, ok8 := get("ParseAll/workers8"); ok8 {
 				if v8, okV := get("ValidateConfigs/workers8"); okV && p8+v8 > 0 {
-					derived["parse_validate_seed_ns"] = p1 + vn
-					derived["parse_validate_new8_ns"] = p8 + v8
-					derived["parse_validate_speedup"] = (p1 + vn) / (p8 + v8)
+					derived = append(derived,
+						benchdiff.Lower("derived.parse_validate_seed_ns", "ns", p1+vn),
+						benchdiff.Lower("derived.parse_validate_new8_ns", "ns", p8+v8))
+					speedup("parse_validate_speedup", (p1+vn)/(p8+v8))
 				}
 			}
 		}
 	}
 	if cold, okC := get("CompileTemplates/cold"); okC {
 		if warm, okW := get("CompileTemplates/warm"); okW && warm > 0 {
-			derived["compile_speedup_warm_vs_cold"] = cold / warm
+			speedup("compile_speedup_warm_vs_cold", cold/warm)
 		}
 	}
-	for k, v := range frontendDerivedExtra {
-		derived[k] = v
-	}
-	doc := struct {
-		Schema     string                        `json:"schema"`
-		Scale      float64                       `json:"scale"`
-		Benchmarks map[string]frontendBenchEntry `json:"benchmarks"`
-		Derived    map[string]float64            `json:"derived"`
-	}{"nassim-frontend-bench/v1", benchScale, frontendBenchEntries, derived}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
+	if err := frontendBench.Put(derived...); err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+}
+
+// utilizationRecord exports a worker pool's busy-time utilization under
+// telemetry's key — the same derivation the run manifest uses, so
+// -profile-stages runs and this export report one number.
+func utilizationRecord(stage string, workers int, acc *telemetry.UtilizationAccum) []benchdiff.Record {
+	util, ok := acc.Utilization()
+	if !ok {
+		return nil
 	}
+	return []benchdiff.Record{benchdiff.Higher("derived."+telemetry.UtilizationKey(stage, workers), "ratio", util)}
 }
 
 // BenchmarkParseAll parses all four vendor manuals per op, sequentially
@@ -128,10 +108,8 @@ func BenchmarkParseAll(b *testing.B) {
 			}
 			b.ReportMetric(float64(pages), "pages/op")
 			// Accumulate the page pool's busy time across iterations: low
-			// utilization at workers=8 is the ROADMAP item 4 diagnosis (the
-			// fan-out exists but the workers starve). The derivation and key
-			// are telemetry's — the same code path the run manifest uses, so
-			// -profile-stages runs and this export report one number.
+			// utilization at workers=8 means the fan-out exists but the
+			// workers starve.
 			var acc telemetry.UtilizationAccum
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -148,9 +126,9 @@ func BenchmarkParseAll(b *testing.B) {
 			}
 			if util, ok := acc.Utilization(); ok {
 				b.ReportMetric(util, "utilization")
-				recordFrontendDerived(telemetry.UtilizationKey(telemetry.StageParse, variant.workers), util)
 			}
-			exportFrontendBench(b, "ParseAll/"+variant.name)
+			exportFrontendBench(b, "ParseAll/"+variant.name,
+				utilizationRecord(telemetry.StageParse, variant.workers, &acc)...)
 		})
 	}
 }
@@ -202,8 +180,8 @@ func BenchmarkDecodeArtifact(b *testing.B) {
 	b.StopTimer()
 	perArtifact := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(arts))
 	b.ReportMetric(perArtifact, "ns/artifact")
-	recordFrontendDerived("decode_ns_per_artifact", perArtifact)
-	exportFrontendBench(b, "DecodeArtifact")
+	exportFrontendBench(b, "DecodeArtifact",
+		benchdiff.Lower("derived.decode_ns_per_artifact", "ns", perArtifact))
 }
 
 // BenchmarkCompileTemplates builds the CGM index over every vendor's
@@ -290,8 +268,7 @@ func BenchmarkValidateConfigs(b *testing.B) {
 		})
 		if util, ok := acc.Utilization(); ok {
 			b.ReportMetric(util, "utilization")
-			recordFrontendDerived(telemetry.UtilizationKey("validate", 8), util)
 		}
-		exportFrontendBench(b, "ValidateConfigs/workers8")
+		exportFrontendBench(b, "ValidateConfigs/workers8", utilizationRecord("validate", 8, &acc)...)
 	})
 }

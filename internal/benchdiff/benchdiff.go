@@ -1,73 +1,81 @@
-// Package benchdiff compares committed benchmark baselines against fresh
-// runs — the regression gate of the run observatory. It understands every
-// BENCH_*.json schema the repo emits and flattens each into a flat list of
-// directional metrics: lower-better timings (ns_per_op, stage wall time,
-// chaos latency percentiles), higher-better derived figures (parallel
-// speedups, cache ratios, worker utilization), and informational counts
-// that are reported when they move but never fail the gate. A metric is a
-// regression when it worsens past its tolerance — generous by default so
-// shared-runner noise does not fail builds, tightenable per invocation.
+// Package benchdiff owns the repo's one benchmark document format,
+// nassim-bench/v2, and the regression gate over it. Every exporter
+// (the root benchmarks, cmd/evalbench -stages, cmd/loadgen) writes its
+// BENCH_<name>.json through Writer; Compare gates a fresh document
+// against the committed baseline.
+//
+// A document is a host block (which machine produced it) plus flat
+// records. Each record carries its own gate: a direction (lower-better
+// timings, higher-better speedups and ratios, informational counts that
+// are reported when they move but never fail), a tolerance and an
+// absolute noise floor. The exporter that measures a figure knows how
+// noisy it is, so it sets the gate; the gate itself knows no metric names.
 package benchdiff
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"time"
 )
 
-// Direction classifies how a metric's value relates to quality.
-type Direction int
+// Schema is the version tag of every BENCH_*.json document.
+const Schema = "nassim-bench/v2"
+
+// Direction classifies how a record's value relates to quality; it is
+// the record's "better" field.
+type Direction string
 
 const (
 	// LowerBetter marks timings and failure counts: growth is a regression.
-	LowerBetter Direction = iota
+	LowerBetter Direction = "lower"
 	// HigherBetter marks speedups, ratios, utilization: shrink regresses.
-	HigherBetter
-	// Info metrics (sample sizes, fault counts) are reported when they
+	HigherBetter Direction = "higher"
+	// Info records (sample sizes, fault counts) are reported when they
 	// change but never regress.
-	Info
+	Info Direction = "info"
 )
 
-func (d Direction) String() string {
-	switch d {
-	case LowerBetter:
-		return "lower-better"
-	case HigherBetter:
-		return "higher-better"
-	default:
-		return "info"
-	}
-}
-
-// Metric is one flattened benchmark figure.
-type Metric struct {
-	Name  string
-	Value float64
-	Dir   Direction
-	// Tol, when > 0, is the schema-suggested tolerance for this metric:
-	// single-shot stage timings (one call, no iteration averaging) are far
-	// noisier than ns_per_op figures and get a wider gate. A caller's
-	// Tolerances.PerMetric entry still wins.
-	Tol float64
-	// Floor, when > 0, is an absolute noise floor in the metric's own unit:
-	// a change whose absolute delta stays under it never regresses, whatever
+// Record is one benchmark figure with the gate it is judged by.
+type Record struct {
+	Name   string    `json:"name"`
+	Unit   string    `json:"unit"`
+	Better Direction `json:"better"`
+	Value  float64   `json:"value"`
+	// Tol is the allowed fractional worsening (0.5 = a lower-better
+	// figure may grow 50%); 0 takes the direction's default.
+	Tol float64 `json:"tol"`
+	// Floor, when > 0, is an absolute noise floor in the record's unit: a
+	// change whose absolute delta stays under it never regresses, whatever
 	// the ratio says. Millisecond-scale single-shot timings need this — a
 	// 2ms stage can "triple" on scheduler jitter alone.
-	Floor float64
+	Floor float64 `json:"floor"`
 }
 
-// SingleShotTolerance is the suggested tolerance for timings measured from
-// one execution: they may double before the gate trips.
+// Default tolerances: a lower-better figure may grow 50%, a higher-better
+// one drop 25%. Deliberately loose: timing on shared machines is noisy,
+// and a gate that cries wolf gets deleted.
+const (
+	DefaultTimingTolerance  = 0.50
+	DefaultDerivedTolerance = 0.25
+)
+
+// SingleShotTolerance is the tolerance for timings measured from one
+// execution: they may double before the gate trips.
 const SingleShotTolerance = 1.0
 
-// SpeedupTolerance is the suggested tolerance for derived speedup ratios.
-// Parallel speedups measured on shared machines swing hard with scheduler
-// load — a burst that lands on one variant but not the other moves the
-// ratio alone — so only a drop past 50%, a real collapse, trips the gate.
-// (1.0 would make a higher-better ratio ungateable: a positive value
-// cannot drop more than 100%.)
+// SpeedupTolerance is the tolerance for derived speedup ratios and
+// throughputs. Parallel speedups measured on shared machines swing hard
+// with scheduler load — a burst that lands on one variant but not the
+// other moves the ratio alone — so only a drop past 50%, a real collapse,
+// trips the gate. (1.0 would make a higher-better ratio ungateable: a
+// positive value cannot drop more than 100%.)
 const SpeedupTolerance = 0.5
 
 // ShortBenchNS is the total measured time (b.N x ns_per_op) below which a
@@ -77,368 +85,211 @@ const SpeedupTolerance = 0.5
 // one host-load burst, so such entries gate at SingleShotTolerance.
 const ShortBenchNS = 1e9
 
-// Absolute noise floors for single-shot timings: below 25ms of wall time a
-// one-execution measurement is at scheduler-jitter resolution and ratios
-// carry no signal. A genuine algorithmic regression in such a stage clears
-// the floor easily.
+// Absolute noise floors for single-shot timings, one per unit: below 25ms
+// of wall time a one-execution measurement is at scheduler-jitter
+// resolution and ratios carry no signal. A genuine algorithmic regression
+// clears the floor easily.
 const (
-	SingleShotFloorNS      = 25e6  // stage avg_ns / wall_ns documents
-	SingleShotFloorSeconds = 0.025 // telemetry *_seconds histogram metrics
+	SingleShotFloorNS      = 25e6
+	SingleShotFloorMs      = 25.0
+	SingleShotFloorSeconds = 0.025
 )
 
-// Schemas this package understands.
-const (
-	SchemaTelemetry = "nassim-telemetry-bench/v1"
-	SchemaPipeline  = "nassim-pipeline-bench/v1"
-	SchemaMapper    = "nassim-mapper-bench/v1"
-	SchemaFrontend  = "nassim-frontend-bench/v1"
-	SchemaChaos     = "nassim-chaos-bench/v1"
-	SchemaReconcile = "nassim-reconcile-bench/v1"
-	SchemaServe     = "nassim-serve-bench/v1"
-)
+// Lower returns a lower-better record at the default timing tolerance.
+func Lower(name, unit string, v float64) Record {
+	return Record{Name: name, Unit: unit, Better: LowerBetter, Value: v, Tol: DefaultTimingTolerance}
+}
 
-// Flatten parses one BENCH_*.json document and flattens it into
-// directional metrics. The document's "schema" field selects the layout.
-func Flatten(doc []byte) (string, []Metric, error) {
-	var head struct {
-		Schema string `json:"schema"`
+// Higher returns a higher-better record at the default derived tolerance.
+func Higher(name, unit string, v float64) Record {
+	return Record{Name: name, Unit: unit, Better: HigherBetter, Value: v, Tol: DefaultDerivedTolerance}
+}
+
+// Informational returns a record that is reported but never regresses.
+func Informational(name, unit string, v float64) Record {
+	return Record{Name: name, Unit: unit, Better: Info, Value: v}
+}
+
+// Gate returns r with the given tolerance and noise floor.
+func (r Record) Gate(tol, floor float64) Record {
+	r.Tol, r.Floor = tol, floor
+	return r
+}
+
+// SingleShot returns a lower-better timing measured from one execution
+// (or a handful): it gates at SingleShotTolerance above the unit's floor.
+func SingleShot(name, unit string, v, floor float64) Record {
+	return Lower(name, unit, v).Gate(SingleShotTolerance, floor)
+}
+
+// NsPerOp returns the bench.<name>.ns_per_op record of a Go benchmark
+// that ran n iterations in elapsed. A benchmark that measured less than
+// ShortBenchNS in total gates at the single-shot tolerance.
+func NsPerOp(name string, elapsed time.Duration, n int) Record {
+	ns := float64(elapsed.Nanoseconds()) / float64(n)
+	r := Lower("bench."+name+".ns_per_op", "ns", ns)
+	if ns*float64(n) < ShortBenchNS {
+		r.Tol = SingleShotTolerance
 	}
-	if err := json.Unmarshal(doc, &head); err != nil {
-		return "", nil, fmt.Errorf("benchdiff: not a JSON document: %w", err)
+	return r
+}
+
+// StageRecords returns a stage's stage.<name>.avg_ns and .calls records.
+// Stage timings come from one pipeline run, not b.N iterations, so they
+// use the single-shot gate.
+func StageRecords(name string, calls int, total time.Duration) []Record {
+	var avg float64
+	if calls > 0 {
+		avg = float64(total.Nanoseconds() / int64(calls))
 	}
-	var ms []Metric
-	var err error
-	switch head.Schema {
-	case SchemaTelemetry:
-		ms, err = flattenTelemetry(doc)
-	case SchemaPipeline:
-		ms, err = flattenPipeline(doc)
-	case SchemaMapper:
-		ms, err = flattenBenchmarks(doc, false)
-	case SchemaFrontend:
-		ms, err = flattenBenchmarks(doc, true)
-	case SchemaChaos:
-		ms, err = flattenChaos(doc)
-	case SchemaReconcile:
-		ms, err = flattenReconcile(doc)
-	case SchemaServe:
-		ms, err = flattenServe(doc)
-	case "":
-		return "", nil, fmt.Errorf("benchdiff: document has no schema field")
-	default:
-		return "", nil, fmt.Errorf("benchdiff: unknown schema %q", head.Schema)
+	return []Record{
+		SingleShot("stage."+name+".avg_ns", "ns", avg, SingleShotFloorNS),
+		Informational("stage."+name+".calls", "count", float64(calls)),
 	}
+}
+
+// Host identifies the machine and toolchain a document was produced on.
+// Worker-count labels and every timing depend on it, so a diff across
+// hosts is reported as such.
+type Host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+}
+
+// CurrentHost describes the running process's host.
+func CurrentHost() Host {
+	return Host{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, GoVersion: runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+}
+
+func (h Host) String() string {
+	return fmt.Sprintf("%s/%s %s gomaxprocs=%d num_cpu=%d", h.GOOS, h.GOARCH, h.GoVersion, h.GOMAXPROCS, h.NumCPU)
+}
+
+// Doc is one BENCH_*.json document.
+type Doc struct {
+	Schema  string   `json:"schema"`
+	Host    Host     `json:"host"`
+	Records []Record `json:"records"`
+}
+
+// Flatten decodes one BENCH_*.json document. It rejects other schemas,
+// a missing host block, and unnamed, duplicate or undirected records,
+// and returns the records sorted by name.
+func Flatten(data []byte) (*Doc, error) {
+	var d Doc
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, fmt.Errorf("benchdiff: not a %s document: %w", Schema, err)
+	}
+	switch {
+	case d.Schema == "":
+		return nil, fmt.Errorf("benchdiff: document has no schema field")
+	case d.Schema != Schema:
+		return nil, fmt.Errorf("benchdiff: unknown schema %q (want %s)", d.Schema, Schema)
+	case d.Host == Host{}:
+		return nil, fmt.Errorf("benchdiff: document has no host block")
+	}
+	sort.Slice(d.Records, func(i, j int) bool { return d.Records[i].Name < d.Records[j].Name })
+	for i, r := range d.Records {
+		switch {
+		case r.Name == "":
+			return nil, fmt.Errorf("benchdiff: record %d has no name", i)
+		case i > 0 && d.Records[i-1].Name == r.Name:
+			return nil, fmt.Errorf("benchdiff: duplicate record %q", r.Name)
+		case r.Better != LowerBetter && r.Better != HigherBetter && r.Better != Info:
+			return nil, fmt.Errorf("benchdiff: record %q has unknown direction %q", r.Name, r.Better)
+		}
+	}
+	return &d, nil
+}
+
+// EnvDir names the environment variable that switches benchmark export
+// on: with NASSIM_BENCH_DIR=d every exporter writes d/BENCH_<name>.json.
+const EnvDir = "NASSIM_BENCH_DIR"
+
+// DefaultPath is where the document called name goes: under
+// $NASSIM_BENCH_DIR, or the working directory when it is unset.
+func DefaultPath(name string) string {
+	return filepath.Join(os.Getenv(EnvDir), "BENCH_"+name+".json")
+}
+
+// Writer accumulates one document's records and rewrites the whole file
+// after every Put, so a partial run (one benchmark of several, a CI
+// smoke iteration) still leaves a valid document. A nil *Writer drops
+// records. It is safe for concurrent use.
+type Writer struct {
+	path string
+	mu   sync.Mutex
+	recs map[string]Record
+}
+
+// NewWriter returns a writer for the document called name when
+// NASSIM_BENCH_DIR is set, and nil (export off) otherwise. Benchmarks use
+// it so that plain `go test -bench` runs write nothing.
+func NewWriter(name string) *Writer {
+	if os.Getenv(EnvDir) == "" {
+		return nil
+	}
+	return NewFileWriter(DefaultPath(name))
+}
+
+// NewFileWriter returns a writer for an explicit path.
+func NewFileWriter(path string) *Writer {
+	return &Writer{path: path, recs: map[string]Record{}}
+}
+
+// Put adds or replaces records by name and rewrites the document.
+func (w *Writer) Put(recs ...Record) error {
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, r := range recs {
+		w.recs[r.Name] = r
+	}
+	d := Doc{Schema: Schema, Host: CurrentHost(), Records: make([]Record, 0, len(w.recs))}
+	for _, r := range w.recs {
+		d.Records = append(d.Records, r)
+	}
+	sort.Slice(d.Records, func(i, j int) bool { return d.Records[i].Name < d.Records[j].Name })
+	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
-		return "", nil, err
+		return err
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
-	return head.Schema, ms, nil
+	return os.WriteFile(w.path, append(data, '\n'), 0o644)
 }
 
-type stageRec struct {
-	Name    string `json:"name"`
-	Calls   int    `json:"calls"`
-	TotalNS int64  `json:"total_ns"`
-	AvgNS   int64  `json:"avg_ns"`
+// Value returns the value of a record already put.
+func (w *Writer) Value(name string) (float64, bool) {
+	if w == nil {
+		return 0, false
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	r, ok := w.recs[name]
+	return r.Value, ok
 }
 
-func stageMetrics(stages []stageRec) []Metric {
-	var ms []Metric
-	for _, s := range stages {
-		// Stage tables come from one pipeline run, not b.N iterations: use
-		// the single-shot gate.
-		ms = append(ms,
-			Metric{Name: "stage." + s.Name + ".avg_ns", Value: float64(s.AvgNS), Dir: LowerBetter,
-				Tol: SingleShotTolerance, Floor: SingleShotFloorNS},
-			Metric{Name: "stage." + s.Name + ".calls", Value: float64(s.Calls), Dir: Info},
-		)
+func tolerance(r Record) float64 {
+	if r.Tol > 0 {
+		return r.Tol
 	}
-	return ms
-}
-
-func flattenTelemetry(doc []byte) ([]Metric, error) {
-	var d struct {
-		Stages  []stageRec         `json:"stages"`
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	ms := stageMetrics(d.Stages)
-	for k, v := range d.Metrics {
-		// The registry snapshot mixes counters and duration histograms;
-		// duration sums/averages gate as timings, the rest is informational.
-		dir := Info
-		tol, floor := 0.0, 0.0
-		if strings.Contains(k, "_seconds") &&
-			(strings.HasSuffix(metricBase(k), "_sum") || strings.HasSuffix(metricBase(k), "_avg")) {
-			dir = LowerBetter
-			tol = SingleShotTolerance // one run's histogram, not an average over b.N
-			floor = SingleShotFloorSeconds
-		}
-		ms = append(ms, Metric{Name: "metric." + k, Value: v, Dir: dir, Tol: tol, Floor: floor})
-	}
-	return ms, nil
-}
-
-// metricBase strips a flattened metric key's {labels} suffix.
-func metricBase(k string) string {
-	if i := strings.IndexByte(k, '{'); i >= 0 {
-		return k[:i]
-	}
-	return k
-}
-
-func flattenPipeline(doc []byte) ([]Metric, error) {
-	var d struct {
-		Jobs   int        `json:"jobs"`
-		WallNS int64      `json:"wall_ns"`
-		Stages []stageRec `json:"stages"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	ms := []Metric{
-		{Name: "wall_ns", Value: float64(d.WallNS), Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorNS},
-		{Name: "jobs", Value: float64(d.Jobs), Dir: Info},
-	}
-	return append(ms, stageMetrics(d.Stages)...), nil
-}
-
-// flattenBenchmarks handles the mapper and frontend documents: a
-// benchmarks map of ns_per_op entries, plus (frontend) a derived map of
-// higher-better figures.
-func flattenBenchmarks(doc []byte, derived bool) ([]Metric, error) {
-	var d struct {
-		Benchmarks map[string]struct {
-			NsPerOp float64 `json:"ns_per_op"`
-			N       int     `json:"n"`
-		} `json:"benchmarks"`
-		Derived map[string]float64 `json:"derived"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	var ms []Metric
-	for k, v := range d.Benchmarks {
-		tol := 0.0
-		if v.N > 0 && v.NsPerOp*float64(v.N) < ShortBenchNS {
-			tol = SingleShotTolerance
-		}
-		ms = append(ms, Metric{Name: "bench." + k + ".ns_per_op", Value: v.NsPerOp, Dir: LowerBetter, Tol: tol})
-	}
-	if derived {
-		for k, v := range d.Derived {
-			// Speedup ratios swing with scheduler load far more than the
-			// utilization and cache-ratio figures do (a fan-out near 1.0x —
-			// ROADMAP item 4 — can land either side of it run to run);
-			// give them the wider speedup gate so only a real collapse fails.
-			// Keys ending in _ns or _ns_per_* are derived timings
-			// (decode_ns_per_artifact, the parse+validate wall figures):
-			// those gate lower-better like any other timing.
-			tol := 0.0
-			dir := HigherBetter
-			if strings.Contains(k, "speedup") {
-				tol = SpeedupTolerance
-			}
-			if strings.HasSuffix(k, "_ns") || strings.Contains(k, "_ns_per_") {
-				dir = LowerBetter
-			}
-			ms = append(ms, Metric{Name: "derived." + k, Value: v, Dir: dir, Tol: tol})
-		}
-	}
-	return ms, nil
-}
-
-func flattenChaos(doc []byte) ([]Metric, error) {
-	var d struct {
-		N       int     `json:"n"`
-		P50Ms   float64 `json:"exec_p50_ms"`
-		P99Ms   float64 `json:"exec_p99_ms"`
-		MeanMs  float64 `json:"exec_mean_ms"`
-		Retries int64   `json:"retries"`
-		Faults  struct {
-			Conns   int64 `json:"connections"`
-			Dropped int64 `json:"dropped"`
-			Resets  int64 `json:"resets"`
-			Spikes  int64 `json:"latency_spikes"`
-		} `json:"faults_delivered"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	return []Metric{
-		{Name: "exec_p50_ms", Value: d.P50Ms, Dir: LowerBetter},
-		{Name: "exec_p99_ms", Value: d.P99Ms, Dir: LowerBetter},
-		{Name: "exec_mean_ms", Value: d.MeanMs, Dir: LowerBetter},
-		{Name: "retries", Value: float64(d.Retries), Dir: LowerBetter},
-		{Name: "n", Value: float64(d.N), Dir: Info},
-		{Name: "faults.connections", Value: float64(d.Faults.Conns), Dir: Info},
-		{Name: "faults.dropped", Value: float64(d.Faults.Dropped), Dir: Info},
-		{Name: "faults.resets", Value: float64(d.Faults.Resets), Dir: Info},
-		{Name: "faults.latency_spikes", Value: float64(d.Faults.Spikes), Dir: Info},
-	}, nil
-}
-
-// SingleShotFloorMs is SingleShotFloorNS in milliseconds, for documents
-// whose timings are already millisecond-valued.
-const SingleShotFloorMs = 25.0
-
-func flattenReconcile(doc []byte) ([]Metric, error) {
-	var d struct {
-		N             int     `json:"n"`
-		Devices       int     `json:"devices"`
-		CycleP50Ms    float64 `json:"cycle_p50_ms"`
-		CycleMeanMs   float64 `json:"cycle_mean_ms"`
-		ProbesPerSec  float64 `json:"probes_per_sec"`
-		ProbeP50Ms    float64 `json:"probe_p50_ms"`
-		ProbeP99Ms    float64 `json:"probe_p99_ms"`
-		CacheHitRatio float64 `json:"cache_hit_ratio"`
-		DriftActions  int     `json:"drift_actions"`
-		Health        struct {
-			Converged   int `json:"converged"`
-			Drifted     int `json:"drifted"`
-			Degraded    int `json:"degraded"`
-			Unreachable int `json:"unreachable"`
-		} `json:"health"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	return []Metric{
-		// Cycle and probe timings come from a handful of cycles, so they
-		// gate like single-shot measurements with a millisecond floor.
-		{Name: "cycle_p50_ms", Value: d.CycleP50Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "cycle_mean_ms", Value: d.CycleMeanMs, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "probe_p50_ms", Value: d.ProbeP50Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "probe_p99_ms", Value: d.ProbeP99Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "probes_per_sec", Value: d.ProbesPerSec, Dir: HigherBetter,
-			Tol: SpeedupTolerance},
-		// The cache economy and fleet health are seeded and deterministic:
-		// any unreachable device is a robustness regression, and a cache-hit
-		// collapse means revalidation stopped being incremental.
-		{Name: "cache_hit_ratio", Value: d.CacheHitRatio, Dir: HigherBetter},
-		{Name: "health.unreachable", Value: float64(d.Health.Unreachable), Dir: LowerBetter},
-		{Name: "n", Value: float64(d.N), Dir: Info},
-		{Name: "devices", Value: float64(d.Devices), Dir: Info},
-		{Name: "drift_actions", Value: float64(d.DriftActions), Dir: Info},
-		{Name: "health.converged", Value: float64(d.Health.Converged), Dir: Info},
-		{Name: "health.drifted", Value: float64(d.Health.Drifted), Dir: Info},
-		{Name: "health.degraded", Value: float64(d.Health.Degraded), Dir: Info},
-	}, nil
-}
-
-func flattenServe(doc []byte) ([]Metric, error) {
-	var d struct {
-		Requests      int     `json:"requests"`
-		Errors        int     `json:"errors"`
-		DurationMs    float64 `json:"duration_ms"`
-		RPS           float64 `json:"rps"`
-		LatencyP50Ms  float64 `json:"latency_p50_ms"`
-		LatencyP99Ms  float64 `json:"latency_p99_ms"`
-		LatencyMeanMs float64 `json:"latency_mean_ms"`
-		DedupHitRatio float64 `json:"dedup_hit_ratio"`
-		Dedup8Way     struct {
-			Clients    int     `json:"clients"`
-			Executions float64 `json:"executions"`
-			HitRatio   float64 `json:"hit_ratio"`
-		} `json:"dedup_8way"`
-		Queue struct {
-			MaxDepth float64 `json:"max_depth"`
-			Shed     float64 `json:"shed"`
-		} `json:"queue"`
-	}
-	if err := json.Unmarshal(doc, &d); err != nil {
-		return nil, err
-	}
-	return []Metric{
-		// Serving latency is measured per request but over a short warm
-		// loop on a shared runner, so it gates like a single-shot timing
-		// with a millisecond floor.
-		{Name: "latency_p50_ms", Value: d.LatencyP50Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "latency_p99_ms", Value: d.LatencyP99Ms, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "latency_mean_ms", Value: d.LatencyMeanMs, Dir: LowerBetter,
-			Tol: SingleShotTolerance, Floor: SingleShotFloorMs},
-		{Name: "rps", Value: d.RPS, Dir: HigherBetter, Tol: SpeedupTolerance},
-		// The dedup economy is the tentpole invariant: the warm phase must
-		// stay near-fully deduplicated and the 8-way fan-in must coalesce
-		// to one execution. These are deterministic, not timing-noisy.
-		{Name: "dedup_hit_ratio", Value: d.DedupHitRatio, Dir: HigherBetter},
-		{Name: "dedup_8way.hit_ratio", Value: d.Dedup8Way.HitRatio, Dir: HigherBetter},
-		{Name: "dedup_8way.executions", Value: d.Dedup8Way.Executions, Dir: LowerBetter},
-		// Queue pressure under the bench workload: a depth or shed growth
-		// means admission started backing up. A small absolute floor keeps
-		// the empty-queue baseline from tripping on a 0 -> 1 blip.
-		{Name: "queue.max_depth", Value: d.Queue.MaxDepth, Dir: LowerBetter, Floor: 8},
-		{Name: "queue.shed", Value: d.Queue.Shed, Dir: LowerBetter, Floor: 8},
-		{Name: "errors", Value: float64(d.Errors), Dir: LowerBetter},
-		{Name: "requests", Value: float64(d.Requests), Dir: Info},
-		{Name: "dedup_8way.clients", Value: float64(d.Dedup8Way.Clients), Dir: Info},
-		{Name: "duration_ms", Value: d.DurationMs, Dir: Info},
-	}, nil
-}
-
-// Tolerances sets the allowed fractional worsening before a metric
-// regresses. Defaults are deliberately loose: CI timing on shared runners
-// is noisy, and a gate that cries wolf gets deleted.
-type Tolerances struct {
-	// Timing is the allowed fractional increase of a lower-better metric
-	// (0.5 = may grow 50%). <= 0 takes the default.
-	Timing float64
-	// Derived is the allowed fractional decrease of a higher-better metric.
-	// <= 0 takes the default.
-	Derived float64
-	// PerMetric overrides the tolerance for specific metric names.
-	PerMetric map[string]float64
-}
-
-// Default tolerances.
-const (
-	DefaultTimingTolerance  = 0.50
-	DefaultDerivedTolerance = 0.25
-)
-
-func (t Tolerances) timing() float64 {
-	if t.Timing > 0 {
-		return t.Timing
+	if r.Better == HigherBetter {
+		return DefaultDerivedTolerance
 	}
 	return DefaultTimingTolerance
 }
 
-func (t Tolerances) derived() float64 {
-	if t.Derived > 0 {
-		return t.Derived
-	}
-	return DefaultDerivedTolerance
-}
-
-func (t Tolerances) forMetric(m Metric) float64 {
-	if v, ok := t.PerMetric[m.Name]; ok {
-		return v
-	}
-	if m.Tol > 0 {
-		return m.Tol
-	}
-	if m.Dir == HigherBetter {
-		return t.derived()
-	}
-	return t.timing()
-}
-
-// Delta is one metric's baseline-vs-current comparison.
+// Delta is one record's baseline-vs-current comparison.
 type Delta struct {
-	Name      string    `json:"name"`
-	Dir       Direction `json:"-"`
-	Direction string    `json:"direction"`
-	Base      float64   `json:"base"`
-	Cur       float64   `json:"current"`
+	Name string    `json:"name"`
+	Dir  Direction `json:"direction"`
+	Base float64   `json:"base"`
+	Cur  float64   `json:"current"`
 	// Change is the signed fractional change, (cur-base)/base; +Inf when
 	// the baseline is zero and the current value is not.
 	Change float64 `json:"change"`
@@ -449,10 +300,11 @@ type Delta struct {
 
 // Result is one document pair's comparison.
 type Result struct {
-	Schema string  `json:"schema"`
-	Deltas []Delta `json:"deltas"`
-	// MissingCurrent lists baseline metrics absent from the current run;
-	// AddedCurrent the reverse. Missing metrics count as regressions — a
+	BaseHost Host    `json:"baseline_host"`
+	CurHost  Host    `json:"current_host"`
+	Deltas   []Delta `json:"deltas"`
+	// MissingCurrent lists baseline records absent from the current run;
+	// AddedCurrent the reverse. Missing records count as regressions — a
 	// benchmark silently dropped is exactly what a gate must catch.
 	MissingCurrent []string `json:"missing_current,omitempty"`
 	AddedCurrent   []string `json:"added_current,omitempty"`
@@ -474,69 +326,70 @@ func (r *Result) Failed() bool {
 	return len(r.MissingCurrent) > 0 || len(r.Regressions()) > 0
 }
 
-// Compare flattens both documents (which must share a schema) and gates
-// every baseline metric against its current value.
-func Compare(baseline, current []byte, tol Tolerances) (*Result, error) {
-	bs, bms, err := Flatten(baseline)
+// Compare decodes both documents and gates every baseline record against
+// its current value, using the baseline record's direction, tolerance
+// and floor.
+func Compare(baseline, current []byte) (*Result, error) {
+	bd, err := Flatten(baseline)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	cs, cms, err := Flatten(current)
+	cd, err := Flatten(current)
 	if err != nil {
 		return nil, fmt.Errorf("current: %w", err)
 	}
-	if bs != cs {
-		return nil, fmt.Errorf("benchdiff: schema mismatch: baseline %q vs current %q", bs, cs)
+	cur := make(map[string]Record, len(cd.Records))
+	for _, r := range cd.Records {
+		cur[r.Name] = r
 	}
-	cur := make(map[string]Metric, len(cms))
-	for _, m := range cms {
-		cur[m.Name] = m
-	}
-	res := &Result{Schema: bs}
+	res := &Result{BaseHost: bd.Host, CurHost: cd.Host}
 	seen := map[string]bool{}
-	for _, bm := range bms {
-		seen[bm.Name] = true
-		cm, ok := cur[bm.Name]
+	for _, br := range bd.Records {
+		seen[br.Name] = true
+		cr, ok := cur[br.Name]
 		if !ok {
-			res.MissingCurrent = append(res.MissingCurrent, bm.Name)
+			res.MissingCurrent = append(res.MissingCurrent, br.Name)
 			continue
 		}
-		d := Delta{Name: bm.Name, Dir: bm.Dir, Direction: bm.Dir.String(),
-			Base: bm.Value, Cur: cm.Value,
-			Threshold: tol.forMetric(bm)}
+		d := Delta{Name: br.Name, Dir: br.Better, Base: br.Value, Cur: cr.Value,
+			Threshold: tolerance(br)}
 		switch {
-		case bm.Value == 0 && cm.Value == 0:
+		case br.Value == 0 && cr.Value == 0:
 			d.Change = 0
-		case bm.Value == 0:
+		case br.Value == 0:
 			d.Change = math.Inf(1)
 		default:
-			d.Change = (cm.Value - bm.Value) / math.Abs(bm.Value)
+			d.Change = (cr.Value - br.Value) / math.Abs(br.Value)
 		}
-		switch bm.Dir {
+		switch br.Better {
 		case LowerBetter:
 			d.Regressed = d.Change > d.Threshold
 		case HigherBetter:
 			d.Regressed = d.Change < -d.Threshold
 		}
-		if d.Regressed && bm.Floor > 0 && math.Abs(cm.Value-bm.Value) < bm.Floor {
+		if d.Regressed && br.Floor > 0 && math.Abs(cr.Value-br.Value) < br.Floor {
 			// Under the absolute noise floor the ratio is jitter, not signal.
 			d.Regressed = false
 		}
 		res.Deltas = append(res.Deltas, d)
 	}
-	for _, cm := range cms {
-		if !seen[cm.Name] {
-			res.AddedCurrent = append(res.AddedCurrent, cm.Name)
+	for _, cr := range cd.Records {
+		if !seen[cr.Name] {
+			res.AddedCurrent = append(res.AddedCurrent, cr.Name)
 		}
 	}
 	return res, nil
 }
 
 // Table renders the result as an aligned human-readable table; changed or
-// regressed metrics first, unchanged informational rows summarized.
+// regressed records first, unchanged informational rows summarized.
 func (r *Result) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Schema)
+	if r.BaseHost == r.CurHost {
+		fmt.Fprintf(&b, "host %s\n", r.BaseHost)
+	} else {
+		fmt.Fprintf(&b, "HOSTS DIFFER: baseline %s, current %s\n", r.BaseHost, r.CurHost)
+	}
 	fmt.Fprintf(&b, "  %-52s %14s %14s %9s  %s\n", "metric", "baseline", "current", "change", "verdict")
 	quiet := 0
 	for _, d := range r.Deltas {

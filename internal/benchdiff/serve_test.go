@@ -1,27 +1,32 @@
 package benchdiff
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-const serveBase = `{"schema":"nassim-serve-bench/v1","requests":400,"errors":0,` +
-	`"duration_ms":250,"rps":1600,"latency_p50_ms":4.5,"latency_p99_ms":16,` +
-	`"latency_mean_ms":4.8,"dedup_hit_ratio":0.99,` +
-	`"dedup_8way":{"clients":8,"executions":1,"hit_ratio":0.875},` +
-	`"queue":{"max_depth":0,"shed":0}}`
+// serveBase mirrors the records cmd/loadgen writes to BENCH_serve.json.
+var serveBase = []Record{
+	SingleShot("latency_p50_ms", "ms", 4.5, SingleShotFloorMs),
+	SingleShot("latency_p99_ms", "ms", 16, SingleShotFloorMs),
+	SingleShot("latency_mean_ms", "ms", 4.8, SingleShotFloorMs),
+	Higher("rps", "1/s", 1600).Gate(SpeedupTolerance, 0),
+	Higher("dedup_hit_ratio", "ratio", 0.99),
+	Higher("dedup_8way.hit_ratio", "ratio", 0.875),
+	Lower("dedup_8way.executions", "count", 1),
+	Lower("queue.max_depth", "count", 0).Gate(DefaultTimingTolerance, 8),
+	Lower("queue.shed", "count", 0).Gate(DefaultTimingTolerance, 8),
+	Lower("errors", "count", 0),
+	Informational("requests", "count", 400),
+	Informational("dedup_8way.clients", "count", 8),
+	Informational("duration_ms", "ms", 250),
+}
 
 func TestFlattenServe(t *testing.T) {
-	schema, ms, err := Flatten([]byte(serveBase))
+	d, err := Flatten(encode(t, serveBase...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if schema != SchemaServe {
-		t.Errorf("schema %q; want %q", schema, SchemaServe)
-	}
 	dirs := map[string]Direction{}
-	for _, m := range ms {
-		dirs[m.Name] = m.Dir
+	for _, r := range d.Records {
+		dirs[r.Name] = r.Better
 	}
 	for name, want := range map[string]Direction{
 		"latency_p50_ms":        LowerBetter,
@@ -39,103 +44,57 @@ func TestFlattenServe(t *testing.T) {
 	} {
 		got, ok := dirs[name]
 		if !ok {
-			t.Errorf("metric %s missing from flattened serve document", name)
+			t.Errorf("record %s missing from decoded serve document", name)
 			continue
 		}
 		if got != want {
-			t.Errorf("metric %s direction %v; want %v", name, got, want)
+			t.Errorf("record %s direction %v; want %v", name, got, want)
 		}
 	}
-	if res, err := Compare([]byte(serveBase), []byte(serveBase), Tolerances{}); err != nil || res.Failed() {
-		t.Fatalf("identical serve documents failed: err=%v res=%+v", err, res)
+	if res := compare(t, serveBase, serveBase); res.Failed() {
+		t.Fatalf("identical serve documents failed: %+v", res)
 	}
 }
 
 func TestFlattenServeGates(t *testing.T) {
 	// The singleflight invariant: a second execution for the 8-way fan-in
 	// is a dedup regression, whatever the timings say.
-	twoExecs := strings.Replace(serveBase, `"executions":1`, `"executions":2`, 1)
-	res, err := Compare([]byte(serveBase), []byte(twoExecs), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
+	if res := compare(t, serveBase, set(t, serveBase, "dedup_8way.executions", 2)); !res.Failed() {
 		t.Error("dedup_8way executions doubling did not fail the gate")
 	}
-
 	// A warm-phase dedup collapse regresses as a higher-better ratio.
-	coldDedup := strings.Replace(serveBase, `"dedup_hit_ratio":0.99`, `"dedup_hit_ratio":0.2`, 1)
-	res, err = Compare([]byte(serveBase), []byte(coldDedup), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
+	if res := compare(t, serveBase, set(t, serveBase, "dedup_hit_ratio", 0.2)); !res.Failed() {
 		t.Error("dedup hit ratio collapse did not fail the gate")
 	}
-
 	// An RPS collapse past the speedup tolerance trips the gate.
-	slow := strings.Replace(serveBase, `"rps":1600`, `"rps":300`, 1)
-	res, err = Compare([]byte(serveBase), []byte(slow), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
+	if res := compare(t, serveBase, set(t, serveBase, "rps", 300)); !res.Failed() {
 		t.Error("RPS collapse did not fail the gate")
 	}
-
 	// Request errors appearing from a zero baseline regress (+Inf change).
-	errored := strings.Replace(serveBase, `"errors":0`, `"errors":3`, 1)
-	res, err = Compare([]byte(serveBase), []byte(errored), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
+	if res := compare(t, serveBase, set(t, serveBase, "errors", 3)); !res.Failed() {
 		t.Error("new request errors did not fail the gate")
 	}
-
 	// Millisecond-scale latency jitter under the single-shot floor passes:
 	// 4.5ms -> 20ms is a 4.4x ratio but under the 25ms absolute floor.
-	jitter := strings.Replace(serveBase, `"latency_p50_ms":4.5`, `"latency_p50_ms":20`, 1)
-	res, err = Compare([]byte(serveBase), []byte(jitter), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed() {
+	if res := compare(t, serveBase, set(t, serveBase, "latency_p50_ms", 20)); res.Failed() {
 		t.Errorf("sub-floor latency jitter failed the gate: %+v", res.Regressions())
 	}
-
 	// A queue blip 0 -> 3 stays under the absolute floor; 0 -> 20 regresses.
-	blip := strings.Replace(serveBase, `"queue":{"max_depth":0,"shed":0}`,
-		`"queue":{"max_depth":3,"shed":0}`, 1)
-	res, err = Compare([]byte(serveBase), []byte(blip), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed() {
+	if res := compare(t, serveBase, set(t, serveBase, "queue.max_depth", 3)); res.Failed() {
 		t.Errorf("sub-floor queue blip failed the gate: %+v", res.Regressions())
 	}
-	backup := strings.Replace(serveBase, `"queue":{"max_depth":0,"shed":0}`,
-		`"queue":{"max_depth":20,"shed":0}`, 1)
-	res, err = Compare([]byte(serveBase), []byte(backup), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
+	if res := compare(t, serveBase, set(t, serveBase, "queue.max_depth", 20)); !res.Failed() {
 		t.Error("queue backlog growth did not fail the gate")
 	}
-
-	// A dropped metric (benchmark silently truncated) is itself a failure.
-	var missing = strings.Replace(serveBase, `"dedup_hit_ratio":0.99,`, ``, 1)
-	res, err = Compare([]byte(serveBase), []byte(missing), Tolerances{})
-	if err != nil {
-		t.Fatal(err)
+	// A dropped record (benchmark silently truncated) is itself a failure.
+	var truncated []Record
+	for _, r := range serveBase {
+		if r.Name != "dedup_hit_ratio" {
+			truncated = append(truncated, r)
+		}
 	}
-	if len(res.MissingCurrent) != 0 {
-		t.Log("missing metric listed:", res.MissingCurrent)
-	}
-	if !res.Failed() {
-		// A zeroed (absent) ratio still flattens to 0, which regresses;
-		// either path must fail.
-		t.Error("dropped dedup_hit_ratio did not fail the gate")
+	res := compare(t, serveBase, truncated)
+	if len(res.MissingCurrent) != 1 || !res.Failed() {
+		t.Errorf("dropped dedup_hit_ratio: missing=%v failed=%v", res.MissingCurrent, res.Failed())
 	}
 }

@@ -9,12 +9,14 @@ import (
 	"nassim"
 	"nassim/internal/controller"
 	"nassim/internal/device"
+	"nassim/internal/devmodel"
 	"nassim/internal/mapper"
+	"nassim/internal/vdm"
 )
 
-// assimilated builds (over TCP) one registered controller device for a
-// vendor, returning the attribute IDs its binding covers.
-func addVendor(t *testing.T, c *controller.Controller, name, vendor string) map[string]bool {
+// addVendor builds (over TCP) one registered controller device for a
+// vendor, returning its binding and the VDM the binding points into.
+func addVendor(t *testing.T, c *controller.Controller, name, vendor string) (controller.Binding, *vdm.VDM) {
 	t.Helper()
 	asr, err := nassim.AssimilateVendor(context.Background(), vendor, 0.05)
 	if err != nil {
@@ -41,22 +43,34 @@ func addVendor(t *testing.T, c *controller.Controller, name, vendor string) map[
 	if err := c.AddDevice(name, vendor, asr.VDM, binding, cl, dev.ShowConfigCommand()); err != nil {
 		t.Fatal(err)
 	}
-	covered := map[string]bool{}
-	for id := range binding {
-		covered[id] = true
+	return binding, asr.VDM
+}
+
+// paramType returns the CGM type of a bound parameter.
+func paramType(v *vdm.VDM, p vdm.Parameter) (devmodel.ParamType, bool) {
+	g := v.Index.Graph(vdm.CorpusID(p.Corpus))
+	if g == nil {
+		return 0, false
 	}
-	return covered
+	for _, path := range g.Paths(128) {
+		for _, el := range path {
+			if el.IsParam && el.Text == p.Name {
+				return el.Type, true
+			}
+		}
+	}
+	return 0, false
 }
 
 func TestApplyIntentAcrossVendors(t *testing.T) {
 	c := controller.New(5)
-	hw := addVendor(t, c, "dc1-core-1", "Huawei")
-	nk := addVendor(t, c, "dc1-core-2", "Nokia")
+	hw, _ := addVendor(t, c, "dc1-core-1", "Huawei")
+	nk, _ := addVendor(t, c, "dc1-core-2", "Nokia")
 
 	// Pick attributes both vendors support (sorted: deterministic run).
 	var shared []string
 	for id := range hw {
-		if nk[id] {
+		if _, ok := nk[id]; ok {
 			shared = append(shared, id)
 		}
 	}
@@ -118,22 +132,32 @@ func TestApplyErrors(t *testing.T) {
 	if _, err := c.Apply("ghost", controller.Intent{AttrID: "x", Value: "1"}); err == nil {
 		t.Error("unknown device accepted")
 	}
-	hw := addVendor(t, c, "dev1", "Huawei")
+	hw, v := addVendor(t, c, "dev1", "Huawei")
 	if _, err := c.Apply("dev1", controller.Intent{AttrID: "not.an.attr", Value: "1"}); err == nil {
 		t.Error("unbound attribute accepted")
 	}
 	// A type-incompatible value must be rejected before anything is sent.
-	var intAttr string
+	// Only a parameter the CGM types as int qualifies: an opaque parameter
+	// (say ospf.session-limit bound to arg-2bda9a54) is typed by its name
+	// as a string and legitimately takes "not-a-number". Sorted iteration
+	// keeps the pick deterministic.
+	ids := make([]string, 0, len(hw))
 	for id := range hw {
-		if strings.HasSuffix(id, "as-number") || strings.HasSuffix(id, "-limit") || strings.HasSuffix(id, "-time") {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var intAttr string
+	for _, id := range ids {
+		if typ, ok := paramType(v, hw[id]); ok && typ == devmodel.TypeInt {
 			intAttr = id
 			break
 		}
 	}
-	if intAttr != "" {
-		if _, err := c.Apply("dev1", controller.Intent{AttrID: intAttr, Value: "not-a-number"}); err == nil {
-			t.Errorf("type-incompatible value accepted for %s", intAttr)
-		}
+	if intAttr == "" {
+		t.Fatal("no int-typed bound attribute")
+	}
+	if _, err := c.Apply("dev1", controller.Intent{AttrID: intAttr, Value: "not-a-number"}); err == nil {
+		t.Errorf("type-incompatible value accepted for %s", intAttr)
 	}
 	if err := c.AddDevice("dev1", "Huawei", nil, nil, nil, ""); err == nil {
 		t.Error("duplicate/nil device accepted")

@@ -32,7 +32,8 @@ import (
 )
 
 // Stage names one pipeline stage. The string values double as the stage
-// labels in telemetry (StageTimer tables, BENCH_*.json, metric labels).
+// labels in telemetry (stage timing tables, the stage.* records of
+// BENCH_*.json, metric labels).
 type Stage string
 
 // The stage graph, in execution order. Parse through DeriveHierarchy run
@@ -257,7 +258,40 @@ type RunStats struct {
 	Jobs       int
 	StageRuns  map[Stage]int
 	StageSkips map[Stage]int
-	Wall       time.Duration
+	// StageWall sums JobResult.StageElapsed per stage: the wall time of
+	// executed stages across jobs (cache hits add nothing).
+	StageWall map[Stage]time.Duration
+	Wall      time.Duration
+}
+
+// Add accumulates another run's stats into s, e.g. over repeated rounds.
+func (s *RunStats) Add(o RunStats) {
+	if s.StageRuns == nil {
+		s.StageRuns, s.StageSkips, s.StageWall = map[Stage]int{}, map[Stage]int{}, map[Stage]time.Duration{}
+	}
+	s.Jobs += o.Jobs
+	s.Wall += o.Wall
+	for st, n := range o.StageRuns {
+		s.StageRuns[st] += n
+	}
+	for st, n := range o.StageSkips {
+		s.StageSkips[st] += n
+	}
+	for st, d := range o.StageWall {
+		s.StageWall[st] += d
+	}
+}
+
+// StageTimes lists the executed stages, in graph order, with their call
+// counts and summed wall time: the rows of the stage timing table.
+func (s RunStats) StageTimes() []telemetry.StageTime {
+	var rows []telemetry.StageTime
+	for _, st := range Stages() {
+		if n := s.StageRuns[st]; n > 0 {
+			rows = append(rows, telemetry.StageTime{Name: string(st), Calls: n, Total: s.StageWall[st]})
+		}
+	}
+	return rows
 }
 
 // Runs sums executed stages.
@@ -307,9 +341,6 @@ type Config struct {
 	// CacheDir, when set, mirrors the expensive artifacts (parse output,
 	// derived VDM) on disk so later processes can warm-start.
 	CacheDir string
-	// Timer, when set, accumulates per-stage wall time of executed stages
-	// (cache hits are not observed — skipped work is skipped).
-	Timer *telemetry.StageTimer
 	// StageRetries re-executes listed stages after a failed attempt.
 	// Cancellation is never retried, and a degraded artifact is a success
 	// (the stage absorbed its failures); retries fire only on hard stage
@@ -330,7 +361,6 @@ type Engine struct {
 	disk         *DiskStore
 	workers      int
 	stageWorkers int
-	timer        *telemetry.StageTimer
 	retries      map[Stage]StageRetry
 	hook         func(vendor string, stage Stage) func()
 }
@@ -338,7 +368,7 @@ type Engine struct {
 // New builds an engine from a config.
 func New(cfg Config) (*Engine, error) {
 	e := &Engine{store: cfg.Store, workers: cfg.Workers, stageWorkers: cfg.StageWorkers,
-		timer: cfg.Timer, hook: cfg.StageHook}
+		hook: cfg.StageHook}
 	if len(cfg.StageRetries) > 0 {
 		e.retries = make(map[Stage]StageRetry, len(cfg.StageRetries))
 		for k, v := range cfg.StageRetries {
@@ -409,7 +439,8 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]*JobResult, error) {
 // Summarize aggregates stage outcomes over a run's results (nil entries —
 // failed jobs — are skipped).
 func Summarize(results []*JobResult, wall time.Duration) RunStats {
-	s := RunStats{StageRuns: map[Stage]int{}, StageSkips: map[Stage]int{}, Wall: wall}
+	s := RunStats{StageRuns: map[Stage]int{}, StageSkips: map[Stage]int{},
+		StageWall: map[Stage]time.Duration{}, Wall: wall}
 	for _, r := range results {
 		if r == nil {
 			continue
@@ -420,6 +451,9 @@ func Summarize(results []*JobResult, wall time.Duration) RunStats {
 		}
 		for _, st := range r.Skipped {
 			s.StageSkips[st]++
+		}
+		for st, d := range r.StageElapsed {
+			s.StageWall[st] += d
 		}
 	}
 	return s
@@ -447,7 +481,7 @@ type persistedDerive struct {
 // runStage executes one stage unless its artifact is already cached. The
 // wrapper checks the context at the stage boundary, consults the memory
 // store then the disk mirror, and on a live run wraps fn in a telemetry
-// span, observes the stage timer/histogram, and records the artifact.
+// span, observes the stage histogram, and records the artifact.
 // Failed attempts are re-executed per the engine's per-stage retry
 // policy (cancellation is never retried). An artifact produced under a
 // cancelled context is discarded, and a Degradable artifact reporting
@@ -558,9 +592,6 @@ func (e *Engine) noteRun(jr *JobResult, stage Stage, elapsed time.Duration, atte
 	}
 	jr.StageElapsed[stage] = elapsed
 	jr.StageAttempts[stage] = attempts
-	if e.timer != nil {
-		e.timer.Observe(string(stage), elapsed)
-	}
 	telemetry.GetCounter("nassim_pipeline_stage_total", "stage", string(stage), "outcome", "run").Inc()
 	telemetry.GetHistogram("nassim_pipeline_stage_seconds", nil, "stage", string(stage)).ObserveDuration(elapsed)
 }

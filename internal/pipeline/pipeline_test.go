@@ -248,9 +248,11 @@ func TestEngineRejectedCorrectionFailsJob(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	results := []*JobResult{
-		{Ran: []Stage{StageParse, StageSyntaxValidate}},
+		{Ran: []Stage{StageParse, StageSyntaxValidate}, StageElapsed: map[Stage]time.Duration{
+			StageParse: 3 * time.Millisecond, StageSyntaxValidate: time.Millisecond}},
 		nil, // failed job
-		{Ran: []Stage{StageParse}, Skipped: []Stage{StageSyntaxValidate}},
+		{Ran: []Stage{StageParse}, Skipped: []Stage{StageSyntaxValidate}, StageElapsed: map[Stage]time.Duration{
+			StageParse: 5 * time.Millisecond}},
 	}
 	s := Summarize(results, 2*time.Second)
 	if s.Jobs != 2 {
@@ -261,6 +263,17 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.StageRuns[StageParse] != 2 || s.StageSkips[StageSyntaxValidate] != 1 {
 		t.Errorf("per-stage counts: %+v", s)
+	}
+	rows := s.StageTimes()
+	if len(rows) != 2 || rows[0].Name != string(StageParse) || rows[0].Calls != 2 ||
+		rows[0].Total != 8*time.Millisecond || rows[1].Total != time.Millisecond {
+		t.Errorf("stage rows = %+v", rows)
+	}
+	var sum RunStats
+	sum.Add(s)
+	sum.Add(s)
+	if sum.Jobs != 4 || sum.StageRuns[StageParse] != 4 || sum.StageWall[StageParse] != 16*time.Millisecond {
+		t.Errorf("accumulated stats = %+v", sum)
 	}
 }
 

@@ -1,18 +1,14 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Pipeline stage names shared by cmd/evalbench's stage table, the
-// BENCH_telemetry.json export and bench_test.go's telemetry-aware
-// benchmark. Keeping them here gives every BENCH_*.json entry a stable
-// schema.
+// Pipeline stage names shared by the stage tables, the stage.* records
+// of BENCH_pipeline.json and BENCH_telemetry.json, and metric labels.
+// Keeping them here gives every exported stage row a stable name.
 const (
 	StageParse         = "parse"
 	StageSyntaxCGM     = "syntax_cgm"
@@ -26,143 +22,35 @@ const (
 	StageControllerInt = "controller_intent"
 )
 
-// BenchSchema versions the BENCH_telemetry.json document layout.
-const BenchSchema = "nassim-telemetry-bench/v1"
-
-// StageTimer accumulates wall time per named pipeline stage.
-type StageTimer struct {
-	mu    sync.Mutex
-	order []string
-	stats map[string]*stageStat
+// StageTime is one row of a per-stage timing table: how many times a
+// stage executed and the wall time those executions summed to.
+type StageTime struct {
+	Name  string
+	Calls int
+	Total time.Duration
 }
 
-type stageStat struct {
-	calls int
-	total time.Duration
-}
-
-// NewStageTimer returns an empty stage timer.
-func NewStageTimer() *StageTimer { return &StageTimer{stats: map[string]*stageStat{}} }
-
-// Observe adds one timed call of a stage.
-func (st *StageTimer) Observe(stage string, d time.Duration) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s, ok := st.stats[stage]
-	if !ok {
-		s = &stageStat{}
-		st.stats[stage] = s
-		st.order = append(st.order, stage)
-	}
-	s.calls++
-	s.total += d
-}
-
-// Time runs f and records its wall time under stage.
-func (st *StageTimer) Time(stage string, f func()) {
-	start := time.Now()
-	f()
-	st.Observe(stage, time.Since(start))
-}
-
-// Start begins timing a stage; the returned stop function records it.
-func (st *StageTimer) Start(stage string) func() {
-	start := time.Now()
-	return func() { st.Observe(stage, time.Since(start)) }
-}
-
-// StageRecord is one stage's accumulated timing, in the stable export
-// schema.
-type StageRecord struct {
-	Name    string `json:"name"`
-	Calls   int    `json:"calls"`
-	TotalNS int64  `json:"total_ns"`
-	AvgNS   int64  `json:"avg_ns"`
-}
-
-// Records returns per-stage records in first-observation order.
-func (st *StageTimer) Records() []StageRecord {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]StageRecord, 0, len(st.order))
-	for _, name := range st.order {
-		s := st.stats[name]
-		rec := StageRecord{Name: name, Calls: s.calls, TotalNS: s.total.Nanoseconds()}
-		if s.calls > 0 {
-			rec.AvgNS = rec.TotalNS / int64(s.calls)
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// Total returns the summed wall time across all stages.
-func (st *StageTimer) Total() time.Duration {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// StageTable renders stage rows as the terminal timing table printed by
+// `nassim run` and `evalbench -stages`.
+func StageTable(rows []StageTime) string {
 	var total time.Duration
-	for _, s := range st.stats {
-		total += s.total
-	}
-	return total
-}
-
-// Table renders the per-stage timing table for terminal output.
-func (st *StageTimer) Table() string {
-	recs := st.Records()
-	var total int64
-	for _, r := range recs {
-		total += r.TotalNS
+	for _, r := range rows {
+		total += r.Total
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-20s %7s %14s %14s %7s\n", "stage", "calls", "total", "avg", "share")
-	for _, r := range recs {
+	for _, r := range rows {
 		share := 0.0
 		if total > 0 {
-			share = 100 * float64(r.TotalNS) / float64(total)
+			share = 100 * float64(r.Total) / float64(total)
+		}
+		var avg time.Duration
+		if r.Calls > 0 {
+			avg = r.Total / time.Duration(r.Calls)
 		}
 		fmt.Fprintf(&b, "%-20s %7d %14s %14s %6.1f%%\n",
-			r.Name, r.Calls,
-			time.Duration(r.TotalNS).Round(time.Microsecond),
-			time.Duration(r.AvgNS).Round(time.Microsecond), share)
+			r.Name, r.Calls, r.Total.Round(time.Microsecond), avg.Round(time.Microsecond), share)
 	}
-	fmt.Fprintf(&b, "%-20s %7s %14s\n", "total", "", time.Duration(total).Round(time.Microsecond))
+	fmt.Fprintf(&b, "%-20s %7s %14s\n", "total", "", total.Round(time.Microsecond))
 	return b.String()
-}
-
-// BenchDoc is the machine-readable telemetry export written by
-// cmd/evalbench (BENCH_telemetry.json).
-type BenchDoc struct {
-	Schema  string             `json:"schema"`
-	Vendor  string             `json:"vendor"`
-	Scale   float64            `json:"scale"`
-	Seed    uint64             `json:"seed"`
-	Stages  []StageRecord      `json:"stages"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// NewBenchDoc assembles the export document from a stage timer and the
-// Default registry's flattened metrics.
-func NewBenchDoc(vendor string, scale float64, seed uint64, st *StageTimer) *BenchDoc {
-	return &BenchDoc{
-		Schema: BenchSchema, Vendor: vendor, Scale: scale, Seed: seed,
-		Stages: st.Records(), Metrics: defaultRegistry.FlatSnapshot(),
-	}
-}
-
-// MarshalIndent renders the document as stable, indented JSON (metrics are
-// a map; encoding/json already sorts its keys).
-func (d *BenchDoc) MarshalIndent() ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
-}
-
-// SortedMetricNames lists the metric keys of the document, sorted, for
-// table output.
-func (d *BenchDoc) SortedMetricNames() []string {
-	out := make([]string, 0, len(d.Metrics))
-	for k := range d.Metrics {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

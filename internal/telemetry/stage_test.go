@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -11,66 +10,14 @@ import (
 // nilCtx keeps test call sites short.
 func nilCtx() context.Context { return context.Background() }
 
-func TestStageTimerRecords(t *testing.T) {
-	st := NewStageTimer()
-	st.Observe(StageParse, 10*time.Millisecond)
-	st.Observe(StageParse, 30*time.Millisecond)
-	st.Observe(StageHierarchy, 5*time.Millisecond)
-	recs := st.Records()
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
-	}
-	if recs[0].Name != StageParse || recs[0].Calls != 2 || recs[0].AvgNS != (20*time.Millisecond).Nanoseconds() {
-		t.Fatalf("parse record wrong: %+v", recs[0])
-	}
-	if recs[1].Name != StageHierarchy || recs[1].Calls != 1 {
-		t.Fatalf("hierarchy record wrong: %+v", recs[1])
-	}
-	if st.Total() != 45*time.Millisecond {
-		t.Fatalf("total = %v", st.Total())
-	}
-}
-
-func TestStageTimerTimeAndStart(t *testing.T) {
-	st := NewStageTimer()
-	st.Time("a", func() { time.Sleep(time.Millisecond) })
-	stop := st.Start("b")
-	stop()
-	recs := st.Records()
-	if len(recs) != 2 || recs[0].TotalNS <= 0 {
-		t.Fatalf("records = %+v", recs)
-	}
-}
-
 func TestStageTable(t *testing.T) {
-	st := NewStageTimer()
-	st.Observe("parse", time.Second)
-	st.Observe("map", time.Second)
-	table := st.Table()
-	for _, want := range []string{"stage", "parse", "map", "50.0%", "total"} {
+	table := StageTable([]StageTime{
+		{Name: "parse", Calls: 2, Total: time.Second},
+		{Name: "map", Calls: 1, Total: time.Second},
+	})
+	for _, want := range []string{"stage", "parse", "map", "50.0%", "500ms", "total", "2s"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)
 		}
-	}
-}
-
-func TestBenchDocSchema(t *testing.T) {
-	GetCounter("benchdoc_probe_total").Inc()
-	st := NewStageTimer()
-	st.Observe(StageParse, time.Millisecond)
-	doc := NewBenchDoc("Huawei", 0.05, 7, st)
-	data, err := doc.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchDoc
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != BenchSchema || back.Vendor != "Huawei" || len(back.Stages) != 1 {
-		t.Fatalf("round trip wrong: %+v", back)
-	}
-	if back.Metrics["benchdoc_probe_total"] < 1 {
-		t.Fatalf("metrics snapshot missing probe counter: %v", back.SortedMetricNames())
 	}
 }
