@@ -81,15 +81,18 @@ bench-loadgen:
 stages:
 	$(BENCH_ENV) $(GO) run ./cmd/evalbench -stages -scale 0.1 -manifest-out $(BENCH_DIR)/RUN_MANIFEST.json
 
-# Artifact-codec fuzzing under the race detector: coverage-guided
-# mutations of real encoded artifacts must decode cleanly or be rejected
-# with an error — never panic — at the stage-codec layer
-# (FuzzArtifactCodecs) and the container layer (FuzzOpen). The seed
-# corpora also run in every plain `go test`.
+# Fuzzing under the race detector: coverage-guided mutations of real
+# encoded artifacts must decode cleanly or be rejected with an error —
+# never panic — at the stage-codec layer (FuzzArtifactCodecs) and the
+# container layer (FuzzOpen); mutated paper-scale Huawei example lines
+# must score the same under the dense CGM Specificity as under its
+# map-frontier reference (FuzzSpecificity). The seed corpora also run in
+# every plain `go test`.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -race -run '^$$' -fuzz FuzzArtifactCodecs -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -race -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/artifact
+	$(GO) test -race -run '^$$' -fuzz FuzzSpecificity -fuzztime $(FUZZTIME) ./internal/cgm
 
 # Chaos suite: fault injection, resilient client, breaker, and the
 # end-to-end chaos assimilation tests, twice under the race detector, then

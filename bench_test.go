@@ -16,6 +16,8 @@ package nassim_test
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -156,11 +158,17 @@ func BenchmarkHierarchyDerivation(b *testing.B) {
 			for i, e := range parsed.Hierarchy {
 				edges[i] = hierarchy.Edge{Parent: e.Parent, Child: e.Child}
 			}
+			// The fanned-out derivation must equal the one-worker one.
+			ref, _ := hierarchy.Derive(context.Background(), vendor, parsed.Corpora, edges, nil, 1)
+			workers := runtime.GOMAXPROCS(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v, _ := hierarchy.Derive(context.Background(), vendor, parsed.Corpora, edges, nil)
+				v, _ := hierarchy.Derive(context.Background(), vendor, parsed.Corpora, edges, nil, workers)
 				if len(v.Views) == 0 {
 					b.Fatal("no views derived")
+				}
+				if i == 0 && (v.RootView != ref.RootView || !reflect.DeepEqual(v.Views, ref.Views)) {
+					b.Fatalf("%d-worker derivation differs from the one-worker one", workers)
 				}
 			}
 		})

@@ -243,65 +243,68 @@ func (g *Graph) EdgeCount() int {
 	return n
 }
 
-// matchNext implements Algorithm 4's match_next: keyword candidates take
-// priority (exact text), and only if none matches are parameter candidates
-// tried (type fit).
-func (g *Graph) matchNext(tok string, candis []int) []int {
-	var matched []int
-	for _, c := range candis {
-		n := g.nodes[c]
-		if n.kind == KindKeyword && n.text == tok {
-			matched = append(matched, c)
-		}
-	}
-	if len(matched) > 0 {
-		return matched
-	}
-	for _, c := range candis {
-		n := g.nodes[c]
-		if n.kind == KindParam && devmodel.TypeMatches(n.typ, tok) {
-			matched = append(matched, c)
-		}
-	}
-	return matched
-}
-
-// nextCandis implements Algorithm 4's get_next_candis: the union of
-// successors of all matched states.
-func (g *Graph) nextCandis(matched []int) []int {
-	var out []int
-	for _, m := range matched {
-		out = unionInts(out, g.succ[m])
-	}
-	return out
-}
-
 // MatchTokens implements Algorithm 1's is_cli_match over a pre-split
 // instance: breadth-first search for a root-to-terminal path whose states
-// match the instance tokens.
+// match the instance tokens. Each step is Algorithm 4: among the candidate
+// states, keyword states matching the token exactly take priority, and
+// only if there are none do parameter states whose type fits the token
+// match (match_next); the next candidates are the union of the matched
+// states' successors (get_next_candis).
+//
+// Candidate sets are dense flags indexed by state, swapped after every
+// token, on the stack for graphs of up to stackStates states: hierarchy
+// derivation and empirical validation match every line this way.
 func (g *Graph) MatchTokens(toks []string) bool {
 	if len(toks) == 0 {
 		return false
 	}
+	n := len(g.nodes)
+	var buf [2 * stackStates]bool
+	var cur, next []bool
+	if n <= stackStates {
+		cur, next = buf[:n], buf[stackStates:stackStates+n]
+	} else {
+		s := make([]bool, 2*n)
+		cur, next = s[:n], s[n:]
+	}
+	for _, s := range g.succ[g.root] {
+		cur[s] = true
+	}
 	// State-machine steps (candidate states examined per token) accumulate
 	// locally and land in the counter with one atomic add per call.
 	steps := 0
-	candis := g.succ[g.root]
 	ok := func() bool {
 		for _, tok := range toks {
-			steps += len(candis)
-			matched := g.matchNext(tok, candis)
-			if len(matched) == 0 {
+			clear(next)
+			matched := false
+			for state, on := range cur {
+				if !on {
+					continue
+				}
+				steps++
+				if nd := &g.nodes[state]; nd.kind == KindKeyword && nd.text == tok {
+					matched = true
+					for _, s := range g.succ[state] {
+						next[s] = true
+					}
+				}
+			}
+			if !matched {
+				for state, on := range cur {
+					if nd := &g.nodes[state]; on && nd.kind == KindParam && devmodel.TypeMatches(nd.typ, tok) {
+						matched = true
+						for _, s := range g.succ[state] {
+							next[s] = true
+						}
+					}
+				}
+			}
+			if !matched {
 				return false
 			}
-			candis = g.nextCandis(matched)
+			cur, next = next, cur
 		}
-		for _, c := range candis {
-			if c == g.terminal {
-				return true
-			}
-		}
-		return false
+		return cur[g.terminal]
 	}()
 	telMatchSteps.Add(int64(steps))
 	return ok
@@ -318,45 +321,68 @@ func (g *Graph) Match(instance string) bool {
 // string-typed parameter shadows a keyword (`qos ipv4-family` matches both
 // `qos ipv4-family` and `qos <policy-name>`); resolution prefers the
 // template that explains more tokens as keywords.
+//
+// The frontier is two dense score arrays indexed by state (-1: not a
+// candidate), swapped after every token. Hierarchy derivation calls this
+// for every candidate template of every example parent line, so the
+// arrays live on the stack for graphs of up to stackStates states.
 func (g *Graph) Specificity(toks []string) int {
 	if len(toks) == 0 {
 		return -1
 	}
-	frontier := map[int]int{} // candidate state -> best keyword count so far
+	n := len(g.nodes)
+	var buf [2 * stackStates]int
+	var cur, next []int
+	if n <= stackStates {
+		cur, next = buf[:n], buf[stackStates:stackStates+n]
+	} else {
+		s := make([]int, 2*n)
+		cur, next = s[:n], s[n:]
+	}
+	for i := range cur {
+		cur[i] = -1
+	}
 	for _, s := range g.succ[g.root] {
-		frontier[s] = 0
+		cur[s] = 0
 	}
 	for _, tok := range toks {
-		next := map[int]int{}
-		for state, kws := range frontier {
-			n := g.nodes[state]
+		for i := range next {
+			next[i] = -1
+		}
+		live := false
+		for state, kws := range cur {
+			if kws < 0 {
+				continue
+			}
+			nd := &g.nodes[state]
 			score := -1
 			switch {
-			case n.kind == KindKeyword && n.text == tok:
+			case nd.kind == KindKeyword && nd.text == tok:
 				score = kws + 1
-			case n.kind == KindParam && devmodel.TypeMatches(n.typ, tok):
+			case nd.kind == KindParam && devmodel.TypeMatches(nd.typ, tok):
 				score = kws
 			}
 			if score < 0 {
 				continue
 			}
 			for _, s := range g.succ[state] {
-				if prev, ok := next[s]; !ok || score > prev {
+				if score > next[s] {
 					next[s] = score
+					live = true
 				}
 			}
 		}
-		if len(next) == 0 {
+		if !live {
 			return -1
 		}
-		frontier = next
+		cur, next = next, cur
 	}
-	best, ok := frontier[g.terminal]
-	if !ok {
-		return -1
-	}
-	return best
+	return cur[g.terminal]
 }
+
+// stackStates is the largest graph whose MatchTokens and Specificity
+// frontiers are stack-allocated; bigger graphs allocate them once per call.
+const stackStates = 32
 
 // PathElem is one element of an enumerated root-to-terminal path.
 type PathElem struct {

@@ -70,15 +70,17 @@ func (ix *Index) Match(instance string) []string {
 	}
 	n := len(toks)
 	var out []string
+	pruned := 0
 	for _, e := range ix.byFirst[toks[0]] {
 		if n < e.minToks || n > e.maxToks {
-			telMatchPruned.Inc()
+			pruned++
 			continue
 		}
 		if e.g.MatchTokens(toks) {
 			out = append(out, e.id)
 		}
 	}
+	telMatchPruned.Add(int64(pruned))
 	sortNaturalIDs(out)
 	return out
 }
@@ -96,9 +98,10 @@ func (ix *Index) MatchBest(instance string) []string {
 	n := len(toks)
 	best := -1
 	var out []string
+	pruned := 0
 	for _, e := range ix.byFirst[toks[0]] {
 		if n < e.minToks || n > e.maxToks {
-			telMatchPruned.Inc()
+			pruned++
 			continue
 		}
 		score := e.g.Specificity(toks)
@@ -113,6 +116,7 @@ func (ix *Index) MatchBest(instance string) []string {
 			out = append(out, e.id)
 		}
 	}
+	telMatchPruned.Add(int64(pruned))
 	sortNaturalIDs(out)
 	return out
 }

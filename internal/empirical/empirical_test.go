@@ -45,7 +45,7 @@ func buildVDM(t *testing.T, m *devmodel.Model) *vdm.VDM {
 	for i, e := range res.Hierarchy {
 		edges[i] = hierarchy.Edge{Parent: e.Parent, Child: e.Child}
 	}
-	v, _ := hierarchy.Derive(context.Background(), string(m.Vendor), res.Corpora, edges, nil)
+	v, _ := hierarchy.Derive(context.Background(), string(m.Vendor), res.Corpora, edges, nil, 1)
 	return v
 }
 

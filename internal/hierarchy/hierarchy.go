@@ -16,8 +16,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"nassim/internal/cgm"
@@ -53,6 +56,10 @@ type Report struct {
 	UnresolvedViews []string // views left without an enter command
 	CGMBuildTime    time.Duration
 	DeriveTime      time.Duration
+	// Pool reports how the example-evidence fan-out spent its time (zero
+	// when the hierarchy came from explicit edges). Not part of the
+	// derived artifact: warm runs never execute the pass.
+	Pool telemetry.PoolStats `json:"-"`
 }
 
 // String implements fmt.Stringer.
@@ -91,9 +98,12 @@ func ValidateSyntax(ctx context.Context, vendor string, corpora []corpus.Corpus,
 // Derive builds the validated VDM from a parsed corpus batch. explicit
 // carries parser-extracted view edges (empty for vendors whose hierarchy
 // must be derived from examples). typeOf may be nil for name-based
-// parameter typing. Cancellation via ctx is honored between corpora; the
-// returned VDM is then partial and the caller should discard it.
-func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explicit []Edge, typeOf cgm.TypeResolver) (*vdm.VDM, *Report) {
+// parameter typing. workers bounds the fan-out of the example-evidence
+// pass: below 2 runs it on one worker, and the count is capped at
+// GOMAXPROCS; the VDM and report are identical at any count.
+// Cancellation via ctx is honored between corpora; the returned VDM is
+// then partial and the caller should discard it.
+func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explicit []Edge, typeOf cgm.TypeResolver, workers int) (*vdm.VDM, *Report) {
 	ctx, span := telemetry.Span(ctx, "validate.hierarchy",
 		"vendor", vendor, "corpora", len(corpora), "explicit_edges", len(explicit))
 	defer span.End()
@@ -126,7 +136,7 @@ func Derive(ctx context.Context, vendor string, corpora []corpus.Corpus, explici
 	if len(explicit) > 0 {
 		deriveExplicit(v, rep, explicit)
 	} else {
-		deriveFromExamples(v, rep)
+		deriveFromExamples(ctx, v, rep, workers)
 	}
 	rep.DeriveTime = time.Since(start)
 	rep.AmbiguousViews = v.AmbiguousViews()
@@ -201,8 +211,119 @@ func indentOf(line string) int {
 	return len(line) - len(strings.TrimLeft(line, " "))
 }
 
-// deriveFromExamples recovers hierarchy from the example snippets.
-func deriveFromExamples(v *vdm.VDM, rep *Report) {
+// exampleEvidence is what one example snippet of a corpus contributes to
+// the vote: a root-view vote when the corpus's own instance is top-level,
+// otherwise the enter-command candidates resolved from its parent line.
+type exampleEvidence struct {
+	root    bool
+	parents []int  // corpora of the parent line's most specific templates
+	snippet string // the example, for RelevantSnippets
+}
+
+// collectEvidence resolves corpus i's examples against the CGM index. It
+// only reads the VDM, so corpora are resolved concurrently.
+func collectEvidence(v *vdm.VDM, i int) []exampleEvidence {
+	c := &v.Corpora[i]
+	own := v.Index.Graph(vdm.CorpusID(i))
+	if own == nil || len(c.ParentViews) == 0 {
+		return nil
+	}
+	var out []exampleEvidence
+	for _, example := range c.Examples {
+		// Locate this command's instance: the last matching line.
+		ownIdx := -1
+		for li := len(example) - 1; li >= 0; li-- {
+			if own.Match(strings.TrimSpace(example[li])) {
+				ownIdx = li
+				break
+			}
+		}
+		if ownIdx < 0 {
+			continue
+		}
+		// Track back through indentation to the parent instance.
+		parentIdx := -1
+		for li := ownIdx - 1; li >= 0; li-- {
+			if indentOf(example[li]) < indentOf(example[ownIdx]) {
+				parentIdx = li
+				break
+			}
+		}
+		if parentIdx < 0 {
+			// Top-level instance: evidence that the command's view is the
+			// root view.
+			out = append(out, exampleEvidence{root: true})
+			continue
+		}
+		// Prefer the most specific templates: a string parameter of one
+		// template can shadow a keyword of another (cgm.Index.MatchBest).
+		var parents []int
+		for _, pid := range v.Index.MatchBest(strings.TrimSpace(example[parentIdx])) {
+			if p, err := vdm.ParseCorpusID(pid); err == nil {
+				parents = append(parents, p)
+			}
+		}
+		if len(parents) > 0 {
+			out = append(out, exampleEvidence{parents: parents, snippet: strings.Join(example, "\n")})
+		}
+	}
+	return out
+}
+
+// evidenceChunk is how many consecutive corpora one worker resolves per
+// claim in the evidence pass.
+const evidenceChunk = 64
+
+// collectAllEvidence resolves every corpus's examples on up to workers
+// goroutines (below 2: one, at most GOMAXPROCS), each claiming chunks of
+// corpora in turn. Results land in per-corpus slots, so the caller folds
+// them in corpus order whatever the worker count. One worker runs the
+// same loop on the calling goroutine.
+func collectAllEvidence(ctx context.Context, v *vdm.VDM, workers int) ([][]exampleEvidence, telemetry.PoolStats) {
+	n := len(v.Corpora)
+	if maxPar := runtime.GOMAXPROCS(0); workers > maxPar {
+		workers = maxPar
+	}
+	if workers > (n+evidenceChunk-1)/evidenceChunk {
+		workers = (n + evidenceChunk - 1) / evidenceChunk
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	evidence := make([][]exampleEvidence, n)
+	tracker := telemetry.NewPoolTracker(workers)
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			lo := int(next.Add(evidenceChunk)) - evidenceChunk
+			if lo >= n || ctx.Err() != nil {
+				return
+			}
+			hi := min(lo+evidenceChunk, n)
+			tracker.Track(w, func() {
+				for i := lo; i < hi; i++ {
+					evidence[i] = collectEvidence(v, i)
+				}
+			})
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	return evidence, tracker.Stats()
+}
+
+// deriveFromExamples recovers hierarchy from the example snippets: the
+// evidence of every corpus is resolved in parallel, then voted in corpus
+// order, so vote counts and snippet order do not depend on the workers.
+func deriveFromExamples(ctx context.Context, v *vdm.VDM, rep *Report, workers int) {
 	// strong[view][enterCorpus] counts single-parent-view evidence;
 	// weak[view][enterCorpus] counts multi-candidate evidence.
 	strong := map[string]map[int]int{}
@@ -216,57 +337,26 @@ func deriveFromExamples(v *vdm.VDM, rep *Report) {
 		m[view][enter]++
 	}
 
-	for i := range v.Corpora {
-		c := &v.Corpora[i]
-		own := v.Index.Graph(vdm.CorpusID(i))
-		if own == nil || len(c.ParentViews) == 0 {
-			continue
-		}
-		for _, example := range c.Examples {
-			snippet := strings.Join(example, "\n")
-			// Locate this command's instance: the last matching line.
-			ownIdx := -1
-			for li := len(example) - 1; li >= 0; li-- {
-				if own.Match(strings.TrimSpace(example[li])) {
-					ownIdx = li
-					break
-				}
-			}
-			if ownIdx < 0 {
-				continue
-			}
-			// Track back through indentation to the parent instance.
-			parentIdx := -1
-			for li := ownIdx - 1; li >= 0; li-- {
-				if indentOf(example[li]) < indentOf(example[ownIdx]) {
-					parentIdx = li
-					break
-				}
-			}
-			if parentIdx < 0 {
-				// Top-level instance: evidence that the command's view is
-				// the root view.
-				if len(c.ParentViews) == 1 {
-					rootVotes[c.ParentViews[0]]++
+	evidence, pool := collectAllEvidence(ctx, v, workers)
+	rep.Pool = pool
+	for i, evs := range evidence {
+		views := v.Corpora[i].ParentViews
+		for _, ev := range evs {
+			if ev.root {
+				if len(views) == 1 {
+					rootVotes[views[0]]++
 				}
 				continue
 			}
-			// Prefer the most specific templates: a string parameter of one
-			// template can shadow a keyword of another (cgm.Index.MatchBest).
-			parents := v.Index.MatchBest(strings.TrimSpace(example[parentIdx]))
-			for _, pid := range parents {
-				p, err := vdm.ParseCorpusID(pid)
-				if err != nil {
-					continue
-				}
-				if len(c.ParentViews) == 1 {
-					vote(strong, c.ParentViews[0], p)
+			for _, p := range ev.parents {
+				if len(views) == 1 {
+					vote(strong, views[0], p)
 					rep.StrongVotes++
-					snippets[c.ParentViews[0]] = append(snippets[c.ParentViews[0]], snippet)
+					snippets[views[0]] = append(snippets[views[0]], ev.snippet)
 				} else {
-					for _, view := range c.ParentViews {
+					for _, view := range views {
 						vote(weak, view, p)
-						snippets[view] = append(snippets[view], snippet)
+						snippets[view] = append(snippets[view], ev.snippet)
 					}
 					rep.WeakVotes++
 				}

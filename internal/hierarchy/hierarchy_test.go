@@ -32,7 +32,7 @@ func pipeline(t *testing.T, v devmodel.Vendor, scale float64) (*devmodel.Model, 
 	for i, e := range res.Hierarchy {
 		edges[i] = Edge{Parent: e.Parent, Child: e.Child}
 	}
-	model, rep := Derive(context.Background(), string(v), res.Corpora, edges, nil)
+	model, rep := Derive(context.Background(), string(v), res.Corpora, edges, nil, 1)
 	return m, model, rep
 }
 
@@ -144,7 +144,7 @@ func TestValidateHierarchyCatchesInconsistencies(t *testing.T) {
 		{CLIs: []string{"bgp <as-number>"}, FuncDef: "f", ParentViews: []string{"system view"}},
 		{CLIs: []string{"peer <ipv4-address>"}, FuncDef: "f", ParentViews: []string{"BGP view"}},
 	}
-	v, _ := Derive(context.Background(), "Test", corpora, nil, nil)
+	v, _ := Derive(context.Background(), "Test", corpora, nil, nil, 1)
 	// No examples: BGP view cannot be derived.
 	issues := ValidateHierarchy(v)
 	found := false
@@ -179,7 +179,7 @@ func TestDeriveFromManualExamples(t *testing.T) {
 			Examples: [][]string{{"bgp 100", " peer 10.1.1.1 group test"}},
 		},
 	}
-	v, rep := Derive(context.Background(), "Huawei", corpora, nil, nil)
+	v, rep := Derive(context.Background(), "Huawei", corpora, nil, nil, 1)
 	if rep.RootView != "system view" {
 		t.Fatalf("root = %q", rep.RootView)
 	}
@@ -223,7 +223,7 @@ func TestSharedEnterCommandYieldsAmbiguity(t *testing.T) {
 			Examples:    [][]string{{"msdp vpn-instance test", " peer-b 10.1.1.1"}},
 		},
 	}
-	v, _ := Derive(context.Background(), "Huawei", corpora, nil, nil)
+	v, _ := Derive(context.Background(), "Huawei", corpora, nil, nil, 1)
 	amb := v.AmbiguousViews()
 	if len(amb) != 2 {
 		t.Fatalf("ambiguous views = %v, want both MSDP views", amb)

@@ -298,35 +298,9 @@ func (m *Mapper) dlScore(paramEmb []nlp.Vec, attr int) float64 {
 	return score
 }
 
-// dlScoreNaive is the scalar reference for Equation 2: the weighted sum of
-// the KV x KU pairwise row cosines, norms recomputed per pair. Retained as
-// the executable specification the vectorized path is differentially
-// tested against.
-func (m *Mapper) dlScoreNaive(paramEmb []nlp.Vec, attr int) float64 {
-	score := 0.0
-	for i, pe := range paramEmb {
-		for j, ae := range m.udmEmb[attr] {
-			score += m.weights[i*KU+j] * nlp.Cosine(pe, ae)
-		}
-	}
-	return score
-}
-
 // Recommend returns the top-k UDM attributes for a parameter context,
 // highest score first (ties break toward the lower attribute index).
 func (m *Mapper) Recommend(ctx ParamContext, k int) []Recommendation {
-	return m.recommend(ctx, k, false)
-}
-
-// RecommendNaive is Recommend on the pre-vectorization scoring path
-// (per-pair cosines, full stable sort). It exists so golden tests can
-// prove the fast path ranks identically; production callers want
-// Recommend.
-func (m *Mapper) RecommendNaive(ctx ParamContext, k int) []Recommendation {
-	return m.recommend(ctx, k, true)
-}
-
-func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation {
 	if k <= 0 {
 		k = 10
 	}
@@ -335,9 +309,7 @@ func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation
 		m.telRecs.Inc()
 		m.telLatency.ObserveDuration(time.Since(start))
 	}()
-	candidates := make([]int, 0, m.tree.Len())
-	switch {
-	case m.ir != nil && m.enc == nil:
+	if m.enc == nil {
 		// Pure IR.
 		ranked := m.ir.Rank(nlp.Tokenize(strings.Join(ctx.Sequences, " ")), k)
 		out := make([]Recommendation, 0, len(ranked))
@@ -345,37 +317,44 @@ func (m *Mapper) recommend(ctx ParamContext, k int, naive bool) []Recommendation
 			out = append(out, Recommendation{AttrIndex: s.Doc, Attr: m.tree.Attrs[s.Doc], Score: s.Score})
 		}
 		return out
-	case m.ir != nil:
-		// Composite: IR shortlist, DL re-rank.
+	}
+	candidates, paramEmb := m.prepare(ctx)
+	var top []nlp.Scored
+	if m.quant != nil && len(candidates) >= quantMinCandidates {
+		top = m.scoreQuant(paramEmb, candidates, k)
+	} else {
+		scored := make([]nlp.Scored, len(candidates))
+		for ci, a := range candidates {
+			scored[ci] = nlp.Scored{Doc: a, Score: m.dlScore(paramEmb, a)}
+		}
+		top = nlp.TopKScored(scored, k)
+	}
+	return m.recommendations(top)
+}
+
+// prepare selects the attributes the DL model scores — the IR shortlist
+// for composite models, every attribute otherwise — and encodes the
+// parameter's context rows.
+func (m *Mapper) prepare(ctx ParamContext) (candidates []int, paramEmb []nlp.Vec) {
+	candidates = make([]int, 0, m.tree.Len())
+	if m.ir != nil {
 		for _, s := range m.ir.Rank(nlp.Tokenize(strings.Join(ctx.Sequences, " ")), m.shortlist) {
 			candidates = append(candidates, s.Doc)
 		}
-	default:
+	} else {
 		for i := 0; i < m.tree.Len(); i++ {
 			candidates = append(candidates, i)
 		}
 	}
 	m.telShort.Observe(float64(len(candidates)))
-	paramEmb := make([]nlp.Vec, len(ctx.Sequences))
+	paramEmb = make([]nlp.Vec, len(ctx.Sequences))
 	for i, s := range ctx.Sequences {
 		paramEmb[i] = m.enc.Encode(s)
 	}
-	var top []nlp.Scored
-	if !naive && m.quant != nil && len(candidates) >= quantMinCandidates {
-		top = m.scoreQuant(paramEmb, candidates, k)
-	} else {
-		scored := make([]nlp.Scored, len(candidates))
-		for ci, a := range candidates {
-			score := 0.0
-			if naive {
-				score = m.dlScoreNaive(paramEmb, a)
-			} else {
-				score = m.dlScore(paramEmb, a)
-			}
-			scored[ci] = nlp.Scored{Doc: a, Score: score}
-		}
-		top = nlp.TopKScored(scored, k)
-	}
+	return candidates, paramEmb
+}
+
+func (m *Mapper) recommendations(top []nlp.Scored) []Recommendation {
 	out := make([]Recommendation, len(top))
 	for i, s := range top {
 		out[i] = Recommendation{AttrIndex: s.Doc, Attr: m.tree.Attrs[s.Doc], Score: s.Score}

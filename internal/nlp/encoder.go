@@ -77,10 +77,20 @@ type denseEncoder struct {
 	// embedding, which is why the weaker model can underperform even IR.
 	weighted bool
 
+	// common is the shared anisotropy direction, built once with the
+	// encoder (nil when anisotropy is zero).
+	common Vec
+
 	// cache memoizes sentence embeddings. It is sharded and mutex-guarded
 	// so one encoder can serve concurrent Recommend/MapAll callers; a nil
 	// cache (zero-value encoder) just disables memoization.
 	cache *vecCache
+	// tokens memoizes tokenVector by canonical token. A token vector is a
+	// pure function of (token, dim), so fine-tuning, which only changes
+	// which canonical token a surface token maps to, leaves it valid. It is
+	// per encoder, like cache: a process-wide memo would make every later
+	// encoder's first encodings lookups. Nil disables memoization.
+	tokens *vecCache
 }
 
 func (e *denseEncoder) Name() string { return e.name }
@@ -96,6 +106,20 @@ func (e *denseEncoder) canonicalize(tok string) string {
 	return tok
 }
 
+// tokenVec returns the canonical token's vector through the token memo.
+// Callers only read the returned vector.
+func (e *denseEncoder) tokenVec(tok string) Vec {
+	if e.tokens == nil {
+		return tokenVector(tok, e.dim)
+	}
+	if v, ok := e.tokens.get(tok); ok {
+		return v
+	}
+	v := tokenVector(tok, e.dim)
+	e.tokens.put(tok, v)
+	return v
+}
+
 func (e *denseEncoder) Encode(text string) Vec {
 	if e.cache != nil {
 		if v, ok := e.cache.get(text); ok {
@@ -103,17 +127,14 @@ func (e *denseEncoder) Encode(text string) Vec {
 		}
 	}
 	out := make(Vec, e.dim)
-	var common Vec
-	if e.anisotropy > 0 {
-		common = tokenVector("\x00anisotropy-axis", e.dim)
-	}
+	common := e.common
 	for _, tok := range Tokenize(text) {
 		tok = e.canonicalize(tok)
 		w := 1.0
 		if e.weighted && IsStopword(tok) {
 			w = 0.1
 		}
-		tv := tokenVector(tok, e.dim)
+		tv := e.tokenVec(tok)
 		for i := range out {
 			out[i] += w * tv[i]
 			if common != nil {
@@ -147,7 +168,8 @@ func NewSimCSE(dim int, generalSyn [][2]string) Encoder {
 			canon[pair[1]] = pair[0]
 		}
 	}
-	return &denseEncoder{name: "SimCSE", dim: dim, canon: canon, anisotropy: 0.55, cache: newVecCache()}
+	return &denseEncoder{name: "SimCSE", dim: dim, canon: canon, anisotropy: 0.55,
+		common: tokenVector("\x00anisotropy-axis", dim), cache: newVecCache(), tokens: newVecCache()}
 }
 
 // NewSBERT builds the SBERT-tier encoder: the full general-synonym
@@ -158,7 +180,8 @@ func NewSBERT(dim int, generalSyn [][2]string) Encoder {
 	for _, pair := range generalSyn {
 		canon[pair[1]] = pair[0]
 	}
-	return &denseEncoder{name: "SBERT", dim: dim, canon: canon, weighted: true, cache: newVecCache()}
+	return &denseEncoder{name: "SBERT", dim: dim, canon: canon, weighted: true,
+		cache: newVecCache(), tokens: newVecCache()}
 }
 
 // NetBERT is the domain-adapted encoder of §6.3: SBERT plus a learned
@@ -176,7 +199,7 @@ func NewNetBERT(dim int, generalSyn [][2]string) *NetBERT {
 	}
 	return &NetBERT{denseEncoder{
 		name: "NetBERT", dim: dim, canon: canon, weighted: true,
-		domain: map[string]string{}, cache: newVecCache(),
+		domain: map[string]string{}, cache: newVecCache(), tokens: newVecCache(),
 	}}
 }
 
@@ -362,7 +385,8 @@ func (n *NetBERT) FineTune(positives []TrainExample, negRatio, epochs int, seed 
 			n.domain[s] = bestD
 		}
 	}
-	// Learning new alignments invalidates cached sentence embeddings.
+	// Learning new alignments invalidates cached sentence embeddings; the
+	// token memo stays valid.
 	if n.cache != nil {
 		n.cache.reset()
 	}

@@ -327,11 +327,14 @@ type Config struct {
 	// Workers bounds per-vendor parallelism (<=1 runs sequentially).
 	Workers int
 	// StageWorkers bounds the intra-stage fan-out of the front-end stages:
-	// manual pages parsed concurrently within one vendor's Parse stage and
-	// configuration files matched concurrently within EmpiricalValidate.
-	// For Parse, exactly 1 forces the sequential reference path; 0 (the
-	// default) or >=2 takes the arena-pooled path clamped to GOMAXPROCS.
-	// For EmpiricalValidate, values below 2 keep the stage sequential.
+	// manual pages parsed concurrently within one vendor's Parse stage,
+	// corpora whose examples are resolved concurrently within
+	// DeriveHierarchy, and configuration files matched concurrently within
+	// EmpiricalValidate. For Parse, exactly 1 forces the sequential
+	// reference path; 0 (the default) or >=2 takes the arena-pooled path
+	// clamped to GOMAXPROCS. For DeriveHierarchy and EmpiricalValidate,
+	// values below 2 keep the stage on one worker; DeriveHierarchy also
+	// clamps to GOMAXPROCS.
 	// Stage outputs are identical at any worker count, so StageWorkers
 	// stays out of the artifact cache keys.
 	StageWorkers int
@@ -700,7 +703,10 @@ func (e *Engine) runJob(ctx context.Context, job *Job) (*JobResult, error) {
 	jr.noteKey(StageDeriveHierarchy, deriveKey)
 	da, err := runStage(ctx, e, jr, StageDeriveHierarchy, deriveKey, deriveCodec,
 		func(ctx context.Context) (*deriveArtifact, error) {
-			v, rep := hierarchy.Derive(ctx, job.Vendor, corrected, pa.Hierarchy, nil)
+			v, rep := hierarchy.Derive(ctx, job.Vendor, corrected, pa.Hierarchy, nil, e.stageWorkers)
+			if rep.Pool.Workers > 0 {
+				jr.notePool(StageDeriveHierarchy, rep.Pool)
+			}
 			return &deriveArtifact{VDM: v, Report: rep}, nil
 		})
 	if err != nil {

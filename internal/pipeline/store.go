@@ -148,14 +148,37 @@ func Key(stage Stage, parts ...string) string {
 }
 
 // HashStrings content-hashes an ordered string sequence (page bodies,
-// config lines, parameter names) into one key part.
+// config lines, parameter names) into one key part: each part is framed by
+// its big-endian length, and the framed stream reaches the digest in
+// writes of up to hashBufSize bytes. Two digest writes per part would cost
+// more than the hashing itself for a manual's thousands of pages and a
+// fleet's config lines.
 func HashStrings(parts ...string) string {
 	h := sha256.New()
-	var frame [8]byte
+	size := 0
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(frame[:], uint64(len(p)))
-		h.Write(frame[:])
-		h.Write([]byte(p))
+		size += 8 + len(p)
 	}
+	limit := min(size, hashBufSize)
+	buf := make([]byte, 0, limit)
+	for _, p := range parts {
+		if len(buf)+8+len(p) > limit {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(p)))
+		if len(p) > limit-8 {
+			h.Write(buf)
+			buf = buf[:0]
+			h.Write([]byte(p))
+			continue
+		}
+		buf = append(buf, p...)
+	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// hashBufSize caps the write size of HashStrings; smaller inputs, such as
+// a served request's key parts, get a buffer of their own size.
+const hashBufSize = 32 << 10

@@ -1,7 +1,11 @@
 package pipeline
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -18,6 +22,42 @@ func TestKeyContentHashing(t *testing.T) {
 	}
 	if HashStrings() == HashStrings("") {
 		t.Error("zero parts collides with one empty part")
+	}
+}
+
+// TestHashStringsMatchesFramedDigest pins HashStrings to the plain
+// definition — one length frame and one digest write per part — across
+// parts that straddle, fill and exceed its write buffer, so cache keys
+// stay what they were.
+func TestHashStringsMatchesFramedDigest(t *testing.T) {
+	ref := func(parts ...string) string {
+		h := sha256.New()
+		var frame [8]byte
+		for _, p := range parts {
+			binary.BigEndian.PutUint64(frame[:], uint64(len(p)))
+			h.Write(frame[:])
+			h.Write([]byte(p))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	var many []string
+	for i := 0; i < 5000; i++ {
+		many = append(many, strings.Repeat("x", i%97), "line")
+	}
+	cases := [][]string{
+		nil,
+		{""},
+		{"a", "bc"},
+		many,
+		{strings.Repeat("p", hashBufSize-8), "tail"},
+		{"head", strings.Repeat("p", hashBufSize-8)},
+		{"head", strings.Repeat("q", hashBufSize-7), "tail"},
+		{strings.Repeat("r", 3*hashBufSize+5), "", strings.Repeat("s", hashBufSize)},
+	}
+	for i, parts := range cases {
+		if got, want := HashStrings(parts...), ref(parts...); got != want {
+			t.Errorf("case %d (%d parts): HashStrings = %s, framed digest %s", i, len(parts), got, want)
+		}
 	}
 }
 

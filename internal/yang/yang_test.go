@@ -175,7 +175,7 @@ func TestBridgeProducesValidCorpora(t *testing.T) {
 		}
 	}
 	// The explicit hierarchy must derive without example snippets.
-	v, rep := hierarchy.Derive(context.Background(), "Huawei", res.Corpora, res.Edges, nil)
+	v, rep := hierarchy.Derive(context.Background(), "Huawei", res.Corpora, res.Edges, nil, 1)
 	if rep.RootView != "yang data tree" {
 		t.Errorf("root = %q", rep.RootView)
 	}

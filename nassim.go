@@ -174,7 +174,7 @@ func ApplyCorrections(corpora []Corpus, fixes []Correction) (int, error) {
 // stages over a parsed corpus, producing the validated VDM (§5.1, §5.2).
 // Cancellation via ctx is honored between corpora.
 func BuildVDM(ctx context.Context, vendor string, corpora []Corpus, explicit []Edge) (*VDM, *DeriveReport) {
-	return hierarchy.Derive(ctx, vendor, corpora, explicit, nil)
+	return hierarchy.Derive(ctx, vendor, corpora, explicit, nil, 1)
 }
 
 // ValidateHierarchy checks the structural consistency of a derived VDM.
